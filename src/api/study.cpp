@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstdio>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "api/artifact_io.hpp"
 #include "core/objective.hpp"
@@ -35,7 +33,7 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-// ----------------------------------------------------- job DAG executor ---
+// ------------------------------------------------------- job DAG driver ---
 
 struct Job {
   std::function<void()> fn;
@@ -49,79 +47,11 @@ struct Job {
 
 using DoneCallback = std::function<void(const std::string&, int, int)>;
 
-// Runs `jobs[id]`, then — under `m` — retires it: propagates skips, returns
-// the newly unblocked dependents, and fires the completion callback. Shared
-// by both DAG drivers below.
-std::vector<int> retire_job(std::vector<Job>& jobs, int id, std::mutex& m,
-                            std::size_t& remaining, int& done,
-                            const DoneCallback& on_done) {
-  if (!jobs[id].skip) {
-    try {
-      jobs[id].fn();
-    } catch (...) {
-      jobs[id].error = std::current_exception();
-    }
-  }
-  std::lock_guard<std::mutex> lk(m);
-  --remaining;
-  ++done;
-  const bool failed = jobs[id].skip || jobs[id].error != nullptr;
-  std::vector<int> newly;
-  for (int d : jobs[id].dependents) {
-    if (failed && !jobs[d].skip) {
-      jobs[d].skip = true;
-      jobs[d].skip_reason = "dependency '" + jobs[id].label + "' " +
-                            (jobs[id].error ? "failed" : "was skipped");
-    }
-    if (--jobs[d].pending == 0) newly.push_back(d);
-  }
-  if (on_done) on_done(jobs[id].label, done, static_cast<int>(jobs.size()));
-  return newly;
-}
-
-// Runs the DAG on `width` workers. Jobs become ready as dependencies finish;
-// a failed dependency skips its downstream jobs (recording which dependency
-// failed). Never throws: errors stay on the jobs for the caller to collect —
-// a failed job degrades the report, it does not abort the study.
-void run_dag(std::vector<Job>& jobs, int width, const DoneCallback& on_done) {
-  std::mutex m;
-  std::condition_variable cv;
-  std::deque<int> ready;
-  for (int i = 0; i < static_cast<int>(jobs.size()); ++i)
-    if (jobs[i].pending == 0) ready.push_back(i);
-  std::size_t remaining = jobs.size();
-  int done = 0;
-
-  auto worker = [&] {
-    std::unique_lock<std::mutex> lk(m);
-    while (true) {
-      cv.wait(lk, [&] { return !ready.empty() || remaining == 0; });
-      if (ready.empty()) return;  // remaining == 0: drained
-      const int id = ready.front();
-      ready.pop_front();
-      lk.unlock();
-      const std::vector<int> newly =
-          retire_job(jobs, id, m, remaining, done, on_done);
-      lk.lock();
-      for (int d : newly) ready.push_back(d);
-      cv.notify_all();
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(width));
-  for (int i = 0; i < width; ++i) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-}
-
-// Executor-backed variant: jobs are submitted to an external pool (shared
-// across concurrent studies) instead of dedicated workers. The calling
-// thread blocks until the whole DAG has drained. Completion state is
-// shared_ptr-held so in-flight task closures never dangle, whatever the
-// pool's retirement order.
-struct ExternalDag : std::enable_shared_from_this<ExternalDag> {
+// Completion state of one DAG run, shared_ptr-held so in-flight task
+// closures never dangle, whatever the pool's retirement order.
+struct Dag : std::enable_shared_from_this<Dag> {
   std::vector<Job>* jobs = nullptr;
-  api::JobExecutor* exec = nullptr;
+  SharedPool* pool = nullptr;
   DoneCallback on_done;
   std::mutex m;
   std::condition_variable cv;
@@ -129,29 +59,56 @@ struct ExternalDag : std::enable_shared_from_this<ExternalDag> {
   int done = 0;
 
   void submit(int id) {
-    exec->submit([self = shared_from_this(), id] {
-      std::size_t left;
-      std::vector<int> newly;
-      {
-        // retire_job locks internally; compute `left` under the same lock
-        // ordering by re-locking after (remaining only decreases).
-        newly = retire_job(*self->jobs, id, self->m, self->remaining,
-                           self->done, self->on_done);
-        std::lock_guard<std::mutex> lk(self->m);
-        left = self->remaining;
+    pool->submit([self = shared_from_this(), id] { self->retire(id); });
+  }
+
+  // Runs job `id`, then — under `m` — propagates skips, collects the newly
+  // unblocked dependents and fires the completion callback. Dependents are
+  // submitted after the lock is released.
+  void retire(int id) {
+    Job& job = (*jobs)[static_cast<std::size_t>(id)];
+    if (!job.skip) {
+      try {
+        job.fn();
+      } catch (...) {
+        job.error = std::current_exception();
       }
-      for (int d : newly) self->submit(d);
-      if (left == 0) self->cv.notify_all();
-    });
+    }
+    std::vector<int> newly;
+    bool drained;
+    {
+      std::lock_guard<std::mutex> lk(m);
+      drained = --remaining == 0;
+      ++done;
+      const bool failed = job.skip || job.error != nullptr;
+      for (int d : job.dependents) {
+        Job& dep = (*jobs)[static_cast<std::size_t>(d)];
+        if (failed && !dep.skip) {
+          dep.skip = true;
+          dep.skip_reason = "dependency '" + job.label + "' " +
+                            (job.error ? "failed" : "was skipped");
+        }
+        if (--dep.pending == 0) newly.push_back(d);
+      }
+      if (on_done) on_done(job.label, done, static_cast<int>(jobs->size()));
+    }
+    for (int d : newly) submit(d);
+    if (drained) cv.notify_all();
   }
 };
 
-void run_dag_on(std::vector<Job>& jobs, api::JobExecutor& exec,
-                const DoneCallback& on_done) {
+// Runs the DAG on `pool`, submitting each job once its dependencies have
+// retired; a failed dependency skips its downstream jobs (recording which
+// dependency failed). Blocks the calling thread — never a worker of `pool`,
+// since tasks never block on tasks — until the DAG has drained. Never
+// throws: errors stay on the jobs for the caller to collect — a failed job
+// degrades the report, it does not abort the study.
+void execute_dag(std::vector<Job>& jobs, SharedPool& pool,
+                 const DoneCallback& on_done) {
   if (jobs.empty()) return;
-  auto dag = std::make_shared<ExternalDag>();
+  auto dag = std::make_shared<Dag>();
   dag->jobs = &jobs;
-  dag->exec = &exec;
+  dag->pool = &pool;
   dag->on_done = on_done;
   dag->remaining = jobs.size();
   // Snapshot the ready set BEFORE the first submit: once a task is in
@@ -591,7 +548,8 @@ void Study::run_resilience_job(UResilience& r) {
   const double clock = topo::clock_ghz(t.topo.link_class);
 
   // Expand the scenario against this plan. Throws on invalid explicit events
-  // or repairs exceeding the VC budget; run_dag records the job as failed.
+  // or repairs exceeding the VC budget; the DAG driver records the job as
+  // failed.
   const long horizon = cfg.warmup + cfg.measure + cfg.drain;
   r.fplan = fault::prepare_fault_plan(p.plan, sc, horizon);
   cfg.faults = &r.fplan;
@@ -616,8 +574,9 @@ void Study::run_jobs() {
   const int US = stats_.sweep_jobs;
   // Every job body runs under a lifecycle span (one track per pool worker in
   // the trace) and adds its wall time to the shared busy clock, from which
-  // the post-DAG flush derives pool utilization. The jobs vector outlives
-  // run_dag's join, so capturing busy_us by reference is safe.
+  // the post-DAG flush derives pool utilization. execute_dag returns only
+  // once every job body has finished, so capturing busy_us by reference is
+  // safe.
   std::atomic<long long> busy_us{0};
   const auto timed = [&busy_us](const char* name, int index, auto&& body) {
     const double t0 = obs::now_us();
@@ -699,18 +658,19 @@ void Study::run_jobs() {
         base_resil + i);
   }
 
-  int width = opts_.threads >= 0 ? opts_.threads : spec_.threads;
-  if (width <= 0) {
-    width = static_cast<int>(std::thread::hardware_concurrency());
-    if (width <= 0) width = 1;
+  // Without a caller's pool the study owns one: `threads`, else
+  // spec.threads, else hardware concurrency, never wider than the DAG.
+  std::unique_ptr<SharedPool> own_pool;
+  if (opts_.executor == nullptr) {
+    const int width = SharedPool::resolve_width(
+        opts_.threads >= 0 ? opts_.threads : spec_.threads);
+    own_pool = std::make_unique<SharedPool>(
+        std::min(width, std::max(1, stats_.jobs_total)));
   }
-  width = std::min<int>(width, std::max(1, stats_.jobs_total));
+  SharedPool& pool = own_pool ? *own_pool : *opts_.executor;
 
   obs::WallTimer wall;
-  if (opts_.executor != nullptr)
-    run_dag_on(jobs, *opts_.executor, opts_.on_job_done);
-  else
-    run_dag(jobs, width, opts_.on_job_done);
+  execute_dag(jobs, pool, opts_.on_job_done);
   stats_.syntheses_run = synth_count_.load();
 
   // Failure provenance, in job-id order (deterministic across widths: which
@@ -735,6 +695,7 @@ void Study::run_jobs() {
     const double wall_s = wall.seconds();
     const double busy_s =
         static_cast<double>(busy_us.load(std::memory_order_relaxed)) * 1e-6;
+    const int width = pool.width();
     obs::gauge("study.pool_width").set(width);
     obs::gauge("study.pool_busy_s").set(busy_s);
     obs::gauge("study.pool_wall_s").set(wall_s);

@@ -77,11 +77,11 @@ struct StudyOptions {
   // everything. Cached and recomputed studies assemble byte-identical
   // reports, so plugging a cache never changes results, only wall clock.
   ArtifactCache* cache = nullptr;
-  // External executor (a process-wide pool shared across concurrent
-  // studies, e.g. the serve daemon's). Null = the study spawns its own
-  // `threads`-wide pool. With an executor the pool's width governs
-  // parallelism and `threads` is ignored.
-  JobExecutor* executor = nullptr;
+  // Pool the job DAG runs on — typically a process-wide one shared across
+  // concurrent studies (the serve daemon's). Null = the study builds its
+  // own pool of `threads` width for the duration of run(). With a pool the
+  // pool's width governs parallelism and `threads` is ignored.
+  SharedPool* executor = nullptr;
   // Per-job completion callback (label, jobs completed, jobs total), called
   // serially in completion order while the DAG's bookkeeping lock is held —
   // keep it cheap; it is on the job handoff path, not the job bodies. The

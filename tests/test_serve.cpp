@@ -34,6 +34,7 @@
 #include "api/report.hpp"
 #include "api/spec.hpp"
 #include "api/study.hpp"
+#include "obs/metrics.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/store.hpp"
@@ -303,7 +304,7 @@ TEST(SharedPoolStudy, MatchesInternalPoolReport) {
   const std::string internal_json =
       api::report_to_json(api::run_experiment(spec));
 
-  serve::SharedPool pool(4);
+  api::SharedPool pool(4);
   api::StudyOptions opts;
   opts.executor = &pool;
   std::atomic<int> progress_calls{0};
@@ -323,11 +324,29 @@ TEST(SharedPoolStudy, MatchesInternalPoolReport) {
   EXPECT_EQ(last_total, jobs);
 }
 
+// The pool gauges describe the pool that ran the DAG, not the study's own
+// `threads` setting (spec.threads = 2 here), which a caller's pool overrides.
+TEST(SharedPoolStudy, PoolGaugesReportTheRunningPool) {
+  obs::reset_metrics();
+  obs::set_metrics_enabled(true);
+  api::SharedPool pool(1);
+  api::StudyOptions opts;
+  opts.executor = &pool;
+  api::run_experiment(baseline_spec(), opts);
+  const double width = obs::gauge("study.pool_width").value();
+  const double utilization = obs::gauge("study.pool_utilization").value();
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(width, 1.0);
+  // One worker runs the jobs back to back inside the DAG's wall interval.
+  EXPECT_GT(utilization, 0.0);
+  EXPECT_LE(utilization, 1.0);
+}
+
 TEST(SharedPoolStudy, ConcurrentStudiesShareStoreAndPool) {
   const std::string dir = temp_dir("concurrent");
   const api::ExperimentSpec spec = baseline_spec();
   serve::ArtifactStore store(serve::StoreOptions{dir, 1 << 20});
-  serve::SharedPool pool(4);
+  api::SharedPool pool(4);
   // Warm the store once so concurrent runs exercise the hit path.
   {
     api::StudyOptions opts;
@@ -538,6 +557,16 @@ TEST_F(ServeDaemonTest, ConcurrentClientsGetIdenticalReports) {
   }
 }
 
+// Writes `text` under a name the poller ignores, then renames it into place,
+// so the daemon never reads a half-written spec.
+void drop_spool_file(const std::string& path, const std::string& text) {
+  {
+    std::ofstream f(path + ".tmp", std::ios::binary);
+    f << text;
+  }
+  fs::rename(path + ".tmp", path);
+}
+
 TEST(ServeSpool, DirectoryModeProducesReports) {
   const std::string dir = temp_dir("spool");
   serve::ServerOptions opts;
@@ -549,10 +578,7 @@ TEST(ServeSpool, DirectoryModeProducesReports) {
   server.start();
 
   const api::ExperimentSpec spec = baseline_spec();
-  {
-    std::ofstream f(dir + "/spool/job1.json", std::ios::binary);
-    f << api::serialize(spec);
-  }
+  drop_spool_file(dir + "/spool/job1.json", api::serialize(spec));
   std::string report_path = dir + "/spool/job1.report.json";
   for (int i = 0; i < 500 && !fs::exists(dir + "/spool/job1.json.done"); ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -564,10 +590,7 @@ TEST(ServeSpool, DirectoryModeProducesReports) {
   EXPECT_EQ(body, api::report_to_json(api::run_experiment(spec)));
 
   // A broken spec fails in place without touching the daemon.
-  {
-    std::ofstream f(dir + "/spool/bad.json", std::ios::binary);
-    f << "{\"topologies\": []}";
-  }
+  drop_spool_file(dir + "/spool/bad.json", "{\"topologies\": []}");
   for (int i = 0; i < 500 && !fs::exists(dir + "/spool/bad.json.failed");
        ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
