@@ -6,6 +6,7 @@
 // Usage: perf_report [--smoke] [--out PATH] [--min-apsp-speedup X]
 //                    [--min-sim-speedup X] [--min-mclb-speedup X]
 //                    [--max-obs-overhead-pct X] [--min-delta-apsp-speedup X]
+//                    [--min-vc-speedup X]
 //   --smoke              short budgets (CI-friendly, ~10 s total); the
 //                        n_scaling block covers n = {48, 256} instead of the
 //                        full {48, 128, 256, 512, 1024} curve
@@ -23,6 +24,10 @@
 //                        per-move throughput at n = 256 is not at least X
 //                        times the full n-source re-sweep (annealer-style
 //                        rewire moves, arms interleaved)
+//   --min-vc-speedup X   exit non-zero if the incremental VC-layering pass
+//                        (Pearce-Kelly cycle check) is not at least X times
+//                        the full-DFS oracle pass on the same flow order (a
+//                        disagreement between the two passes always fails)
 //
 // Speedups are measured as in-process ratios (optimized and reference runs
 // interleaved in the same process), so they stay meaningful on a noisy
@@ -51,6 +56,7 @@
 #include "topo/metrics.hpp"
 #include "util/json.hpp"
 #include "util/timer.hpp"
+#include "vc/layers.hpp"
 
 using namespace netsmith;
 
@@ -67,6 +73,40 @@ double time_ns_per_op(double budget_s, Fn&& fn) {
     ++iters;
   } while (timer.seconds() < budget_s);
   return timer.seconds() * 1e9 / static_cast<double>(iters);
+}
+
+// The VC-layering pass as it was before the incremental cycle check: add a
+// path's dependencies, run a full-graph DFS, roll back on a cycle. Oracle
+// arm of the vc_layers ratio.
+vc::VcAssignment assign_in_order_full_dfs(const routing::RoutingTable& rt,
+                                          const vc::LinkIds& ids,
+                                          std::vector<int> pending,
+                                          int max_layers) {
+  const int n = rt.num_nodes();
+  vc::VcAssignment a;
+  a.layer.assign(static_cast<std::size_t>(n) * n, -1);
+  int layer = 0;
+  while (!pending.empty()) {
+    if (layer >= max_layers) {
+      a.num_layers = -1;
+      return a;
+    }
+    vc::Cdg cdg(ids.count());
+    std::vector<int> deferred;
+    for (const int f : pending) {
+      const auto inserted = cdg.add_path(rt.path(f / n, f % n), ids);
+      if (cdg.has_cycle()) {
+        cdg.remove_deps(inserted);
+        deferred.push_back(f);
+      } else {
+        a.layer[f] = layer;
+      }
+    }
+    pending = std::move(deferred);
+    ++layer;
+  }
+  a.num_layers = layer;
+  return a;
 }
 
 struct Report {
@@ -92,6 +132,13 @@ struct Report {
   double dapsp_full_ns = 0.0;
   double dapsp_speedup = 0.0;
   double dapsp_rows_per_move = 0.0;
+  // Schema 5: incremental VC-layering pass vs the full-DFS oracle.
+  int vc_n = 0;
+  int vc_layers = 0;
+  bool vc_match = true;
+  double vc_incremental_passes_per_sec = 0.0;
+  double vc_full_dfs_passes_per_sec = 0.0;
+  double vc_speedup = 0.0;
   // Schema 4: synthesis + simulation throughput vs n.
   struct ScalePoint {
     int n = 0;
@@ -109,9 +156,10 @@ void write_json(const Report& r, const std::string& path) {
   util::JsonWriter w;
   w.begin_object();
   // v4: adds "delta_apsp" (incremental-APSP move engine vs full re-sweep)
-  // and "n_scaling" (synthesis + sim throughput vs n); every pre-v4 field is
+  // and "n_scaling" (synthesis + sim throughput vs n); v5 adds "vc_layers"
+  // (incremental VC-layering pass vs full-DFS oracle). Every older field is
   // byte-compatible so the perf trajectory across PRs stays diffable.
-  w.field_int("schema", 4);
+  w.field_int("schema", 5);
   w.field_bool("smoke", r.smoke);
   w.begin_object("anneal");
   w.field_fmt("moves_per_sec", "%.1f", r.anneal_moves_per_sec);
@@ -148,6 +196,14 @@ void write_json(const Report& r, const std::string& path) {
   w.field_fmt("speedup", "%.2f", r.dapsp_speedup);
   w.field_fmt("rows_per_move", "%.2f", r.dapsp_rows_per_move);
   w.end();
+  w.begin_object("vc_layers");
+  w.field_int("n", r.vc_n);
+  w.field_int("layers", r.vc_layers);
+  w.field_fmt("incremental_passes_per_sec", "%.1f",
+              r.vc_incremental_passes_per_sec);
+  w.field_fmt("full_dfs_passes_per_sec", "%.1f", r.vc_full_dfs_passes_per_sec);
+  w.field_fmt("speedup", "%.2f", r.vc_speedup);
+  w.end();
   w.begin_array("n_scaling");
   for (const auto& p : r.scaling) {
     w.begin_object();
@@ -180,6 +236,7 @@ int main(int argc, char** argv) {
   double min_mclb_speedup = 0.0;
   double max_obs_overhead_pct = 0.0;
   double min_dapsp_speedup = 0.0;
+  double min_vc_speedup = 0.0;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--smoke")) rep.smoke = true;
     else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) out = argv[++i];
@@ -193,12 +250,14 @@ int main(int argc, char** argv) {
       max_obs_overhead_pct = std::atof(argv[++i]);
     else if (!std::strcmp(argv[i], "--min-delta-apsp-speedup") && i + 1 < argc)
       min_dapsp_speedup = std::atof(argv[++i]);
+    else if (!std::strcmp(argv[i], "--min-vc-speedup") && i + 1 < argc)
+      min_vc_speedup = std::atof(argv[++i]);
     else {
       std::fprintf(stderr,
                    "usage: perf_report [--smoke] [--out PATH] "
                    "[--min-apsp-speedup X] [--min-sim-speedup X] "
                    "[--min-mclb-speedup X] [--max-obs-overhead-pct X] "
-                   "[--min-delta-apsp-speedup X]\n");
+                   "[--min-delta-apsp-speedup X] [--min-vc-speedup X]\n");
       return 2;
     }
   }
@@ -272,6 +331,46 @@ int main(int argc, char** argv) {
     rep.mclb_scan_routes_per_sec = static_cast<double>(scan_routes) / scan_s;
     rep.mclb_speedup =
         rep.mclb_flat_routes_per_sec / rep.mclb_scan_routes_per_sec;
+  }
+
+  // --- VC layering: incremental cycle check vs full-DFS oracle. ----------
+  // One layering pass over the same shuffled flow order of an MCLB plan on a
+  // random 16x8 fabric (radix 4, up to 4 shortest paths per flow), arms
+  // interleaved so machine-load noise cancels out of the ratio. The passes
+  // must also agree layer for layer.
+  {
+    const topo::Layout lay{16, 8, 2.0};
+    util::Rng rng(11);
+    const auto g = topo::build_random(lay, topo::LinkClass::kMedium, 4, rng);
+    const auto ps = routing::enumerate_shortest_paths(g, 4);
+    const auto rt = routing::mclb_local_search(ps).table(ps);
+    const vc::LinkIds ids(g);
+    const int n = rt.num_nodes();
+    std::vector<int> order;
+    for (int s = 0; s < n; ++s)
+      for (int d = 0; d < n; ++d)
+        if (s != d && rt.path(s, d).size() >= 2) order.push_back(s * n + d);
+    rng.shuffle(order);
+    util::WallTimer total;
+    double inc_s = 0.0, ref_s = 0.0;
+    long passes = 0;
+    do {
+      util::WallTimer w;
+      const auto inc = vc::assign_layers_in_order(rt, ids, order, 16);
+      inc_s += w.seconds();
+      w.reset();
+      const auto ref = assign_in_order_full_dfs(rt, ids, order, 16);
+      ref_s += w.seconds();
+      rep.vc_match = rep.vc_match && inc.layer == ref.layer &&
+                     inc.num_layers == ref.num_layers;
+      rep.vc_layers = inc.num_layers;
+      ++passes;
+    } while (total.seconds() < kernel_budget * 2.0);
+    rep.vc_n = n;
+    rep.vc_incremental_passes_per_sec = static_cast<double>(passes) / inc_s;
+    rep.vc_full_dfs_passes_per_sec = static_cast<double>(passes) / ref_s;
+    rep.vc_speedup =
+        rep.vc_incremental_passes_per_sec / rep.vc_full_dfs_passes_per_sec;
   }
 
   // --- Delta-APSP move engine vs full re-sweep at n = 256. ----------------
@@ -650,14 +749,16 @@ int main(int argc, char** argv) {
   std::printf("perf_report%s: anneal %.0f moves/s | apsp48 %.0f ns (scalar "
               "%.0f ns, %.2fx) | dapsp256 %.0f ns/move (full %.0f ns, %.2fx, "
               "%.1f rows/move) | cut20 %.2f ms | mclb %.0f routes/s (scan "
-              "%.0f, %.2fx) | sim %.2e cyc/s (ref %.2e, %.2fx) | obs "
-              "+%.1f%%/+%.1f%% -> %s\n",
+              "%.0f, %.2fx) | vc %.0f passes/s (full dfs %.1f, %.2fx) | sim "
+              "%.2e cyc/s (ref %.2e, %.2fx) | obs +%.1f%%/+%.1f%% -> %s\n",
               rep.smoke ? " [smoke]" : "", rep.anneal_moves_per_sec,
               rep.apsp48_bitset_ns, rep.apsp48_scalar_ns, rep.apsp48_speedup,
               rep.dapsp_delta_ns, rep.dapsp_full_ns, rep.dapsp_speedup,
               rep.dapsp_rows_per_move,
               rep.cut_exact20_ms, rep.mclb_flat_routes_per_sec,
               rep.mclb_scan_routes_per_sec, rep.mclb_speedup,
+              rep.vc_incremental_passes_per_sec,
+              rep.vc_full_dfs_passes_per_sec, rep.vc_speedup,
               rep.sim_cycles_per_sec, rep.sim_ref_cycles_per_sec,
               rep.sim_speedup, rep.obs_sim_overhead_pct,
               rep.obs_mclb_overhead_pct, out.c_str());
@@ -686,6 +787,19 @@ int main(int argc, char** argv) {
                  "perf_report: delta-APSP per-move speedup %.2fx at n=256 "
                  "below required %.2fx\n",
                  rep.dapsp_speedup, min_dapsp_speedup);
+    return 1;
+  }
+  if (!rep.vc_match) {
+    std::fprintf(stderr,
+                 "perf_report: incremental VC layering disagrees with the "
+                 "full-DFS oracle\n");
+    return 1;
+  }
+  if (min_vc_speedup > 0.0 && rep.vc_speedup < min_vc_speedup) {
+    std::fprintf(stderr,
+                 "perf_report: VC-layering incremental speedup %.2fx below "
+                 "required %.2fx\n",
+                 rep.vc_speedup, min_vc_speedup);
     return 1;
   }
   if (max_obs_overhead_pct > 0.0 &&

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "obs/trace.hpp"
 #include "routing/channel_load.hpp"
 #include "routing/ndbt.hpp"
 #include "topo/cuts.hpp"
@@ -70,7 +71,10 @@ NetworkPlan plan_network(const topo::DiGraph& g, const topo::Layout& layout,
   plan.seed = seed;
   plan.max_paths_per_flow = max_paths_per_flow;
 
-  const auto all_paths = routing::enumerate_shortest_paths(g, max_paths_per_flow);
+  const routing::PathSet all_paths = [&] {
+    obs::Span span("routing/enumerate");
+    return routing::enumerate_shortest_paths(g, max_paths_per_flow);
+  }();
   util::Rng rng(seed);
 
   if (policy == RoutingPolicy::kMclb) {
@@ -89,6 +93,13 @@ NetworkPlan plan_network(const topo::DiGraph& g, const topo::Layout& layout,
   const auto layers = vc::assign_layers(plan.table, g, rng);
   plan.vc_layers = layers.num_layers;
   plan.vc_map = vc::balance_vcs(layers, plan.table, num_vcs);
+  // Check deadlock freedom on the VC map the simulator will use, so a broken
+  // layering fails the plan instead of deadlocking a sweep.
+  {
+    obs::Span span("vc/verify");
+    if (!vc::verify_acyclic(vc::layer_assignment(plan.vc_map), plan.table, g))
+      throw std::logic_error("plan_network: VC layering has a cyclic CDG");
+  }
   return plan;
 }
 

@@ -316,6 +316,10 @@ FaultPlan prepare_fault_plan(const core::NetworkPlan& plan,
         util::Rng rng(scenario.seed);
         const vc::VcAssignment a = vc::assign_layers(ep.table, plan.graph, rng);
         ep.vc_map = vc::balance_vcs(a, ep.table, plan.num_vcs);
+        if (!vc::verify_acyclic(vc::layer_assignment(ep.vc_map), ep.table,
+                                plan.graph))
+          throw std::logic_error(
+              "prepare_fault_plan: repaired VC layering has a cyclic CDG");
         ep.flows_rerouted = rr.flows_rerouted;
         ep.flows_unroutable = rr.flows_unroutable;
         fp.flows_rerouted += rr.flows_rerouted;

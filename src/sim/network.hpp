@@ -4,9 +4,11 @@
 // Cycle-driven, input-queued virtual-channel wormhole network with
 // credit-based flow control, table-based routing (one path per flow) and
 // layered VC assignment (a packet keeps its VC end-to-end; deadlock freedom
-// follows from each VC layer's acyclic CDG, which callers verify via
-// vc::verify_acyclic before simulating). Per-hop latency = router pipeline +
-// wire (+ CDC) cycles. Injection/ejection are 1 flit/cycle per node.
+// follows from each VC layer's acyclic CDG, which core::plan_network and
+// fault::prepare_fault_plan check with vc::verify_acyclic on every VC map
+// they build; a hand-built plan is not checked). Per-hop latency = router
+// pipeline + wire (+ CDC) cycles. Injection/ejection are 1 flit/cycle per
+// node.
 
 #include <cstdint>
 

@@ -1,13 +1,15 @@
 #include "vc/balance.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
+
+#include "obs/trace.hpp"
 
 namespace netsmith::vc {
 
 VcMap balance_vcs(const VcAssignment& a, const routing::RoutingTable& rt,
                   int num_vcs) {
+  obs::Span span("vc/balance");
   const int n = rt.num_nodes();
   const int layers = a.num_layers;
   if (num_vcs < layers)
@@ -26,8 +28,6 @@ VcMap balance_vcs(const VcAssignment& a, const routing::RoutingTable& rt,
   // Apportion VCs: one per layer, then largest-remainder on weight.
   std::vector<int> vcs_of_layer(layers, 1);
   int left = num_vcs - layers;
-  const double total_weight =
-      std::max(1e-9, std::accumulate(layer_weight.begin(), layer_weight.end(), 0.0));
   while (left > 0) {
     // Give the next VC to the layer with the highest weight per VC.
     int best = 0;
@@ -42,7 +42,6 @@ VcMap balance_vcs(const VcAssignment& a, const routing::RoutingTable& rt,
     ++vcs_of_layer[best];
     --left;
   }
-  (void)total_weight;
 
   VcMap map;
   map.num_vcs = num_vcs;

@@ -35,10 +35,18 @@ class Cdg {
   bool add_dep(int from, int to);
   void remove_dep(int from, int to);
 
+  // Adds a dependency edge only if the graph stays acyclic, keeping a
+  // topological order of the nodes up to date (Pearce & Kelly, JEA 2006).
+  // Returns -1 if the edge would close a cycle (including from == to; the
+  // graph is left unchanged), 0 for a duplicate and 1 if the edge is new.
+  // Requires an acyclic graph: mixing it with add_dep voids the order.
+  int add_dep_acyclic(int from, int to);
+
   // Adds every consecutive-link dependency of the path. Returns the list of
   // (from, to) pairs actually inserted, so the caller can roll back.
   std::vector<std::pair<int, int>> add_path(const routing::Path& p,
                                             const LinkIds& ids);
+  // Removing edges keeps the topological order valid.
   void remove_deps(const std::vector<std::pair<int, int>>& deps);
 
   bool has_cycle() const;
@@ -46,8 +54,19 @@ class Cdg {
   int num_links() const { return static_cast<int>(adj_.size()); }
 
  private:
+  // Collects into `found` the nodes reachable from `start` along `edges`
+  // whose order lies strictly inside (lo, hi). Returns false, stopping
+  // early, if `target` is reached.
+  bool collect(const std::vector<std::vector<int>>& edges, int start, int lo,
+               int hi, int target, std::vector<int>& found);
+
   std::vector<std::vector<int>> adj_;
+  std::vector<std::vector<int>> radj_;
+  std::vector<int> ord_;  // node -> position in a topological order
   int deps_ = 0;
+  // Work buffers for add_dep_acyclic, kept to avoid per-call allocation.
+  std::vector<char> seen_;
+  std::vector<int> stack_, fwd_, bwd_, pool_;
 };
 
 }  // namespace netsmith::vc

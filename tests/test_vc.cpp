@@ -4,11 +4,88 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "routing/mclb.hpp"
 #include "topo/builders.hpp"
 
 namespace netsmith::vc {
 namespace {
+
+// Reference decision for add_dep_acyclic: insert, run the full-graph DFS,
+// roll back on a cycle.
+int add_dep_reference(Cdg& cdg, int from, int to) {
+  const bool added = cdg.add_dep(from, to);
+  if (cdg.has_cycle()) {
+    if (added) cdg.remove_dep(from, to);
+    return -1;
+  }
+  return added ? 1 : 0;
+}
+
+// The layering pass as it was before the incremental check: add the whole
+// path, run the full-graph DFS, roll back on a cycle.
+VcAssignment assign_in_order_reference(const routing::RoutingTable& rt,
+                                       const LinkIds& ids,
+                                       std::vector<int> pending,
+                                       int max_layers) {
+  const int n = rt.num_nodes();
+  VcAssignment a;
+  a.layer.assign(static_cast<std::size_t>(n) * n, -1);
+  int layer = 0;
+  while (!pending.empty()) {
+    if (layer >= max_layers) {
+      a.num_layers = -1;
+      return a;
+    }
+    Cdg cdg(ids.count());
+    std::vector<int> deferred;
+    for (const int f : pending) {
+      const auto inserted = cdg.add_path(rt.path(f / n, f % n), ids);
+      if (cdg.has_cycle()) {
+        cdg.remove_deps(inserted);
+        deferred.push_back(f);
+      } else {
+        a.layer[f] = layer;
+      }
+    }
+    pending = std::move(deferred);
+    ++layer;
+  }
+  a.num_layers = layer;
+  return a;
+}
+
+std::vector<int> all_flows(const routing::RoutingTable& rt) {
+  const int n = rt.num_nodes();
+  std::vector<int> flows;
+  for (int s = 0; s < n; ++s)
+    for (int d = 0; d < n; ++d)
+      if (s != d && rt.path(s, d).size() >= 2) flows.push_back(s * n + d);
+  return flows;
+}
+
+// The same order through both passes: identity, then shuffles.
+void expect_same_layers(const routing::RoutingTable& rt, const topo::DiGraph& g,
+                        int orders, std::uint64_t seed) {
+  const LinkIds ids(g);
+  std::vector<int> order = all_flows(rt);
+  util::Rng rng(seed);
+  for (int r = 0; r < orders; ++r) {
+    if (r > 0) rng.shuffle(order);
+    const auto inc = assign_layers_in_order(rt, ids, order, 16);
+    const auto ref = assign_in_order_reference(rt, ids, order, 16);
+    EXPECT_EQ(inc.num_layers, ref.num_layers) << "order " << r;
+    EXPECT_EQ(inc.layer, ref.layer) << "order " << r;
+  }
+}
 
 TEST(LinkIds, DenseAndInvertible) {
   topo::DiGraph g(3);
@@ -62,6 +139,128 @@ TEST(Cdg, AddPathCreatesConsecutiveDeps) {
   const auto ins = cdg.add_path({0, 1, 2, 3}, ids);
   EXPECT_EQ(ins.size(), 2u);  // (0-1)->(1-2), (1-2)->(2-3)
   EXPECT_FALSE(cdg.has_cycle());
+}
+
+TEST(Cdg, AcyclicInsertMatchesFullDfs) {
+  // Random dependency streams with self-deps, duplicates and removals: every
+  // add_dep_acyclic decision equals add_dep + has_cycle + rollback.
+  for (const int nodes : {4, 12, 40}) {
+    util::Rng rng(1000 + nodes);
+    Cdg inc(nodes), ref(nodes);
+    std::vector<std::pair<int, int>> present;
+    int cycles = 0, dups = 0;
+    for (int step = 0; step < 4000; ++step) {
+      if (!present.empty() && rng.uniform_int(0, 3) == 0) {
+        const auto k = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(present.size()) - 1));
+        inc.remove_dep(present[k].first, present[k].second);
+        ref.remove_dep(present[k].first, present[k].second);
+        present.erase(present.begin() + static_cast<std::ptrdiff_t>(k));
+        continue;
+      }
+      const int from = static_cast<int>(rng.uniform_int(0, nodes - 1));
+      const int to = rng.uniform_int(0, 9) == 0
+                         ? from
+                         : static_cast<int>(rng.uniform_int(0, nodes - 1));
+      const int want = add_dep_reference(ref, from, to);
+      ASSERT_EQ(inc.add_dep_acyclic(from, to), want)
+          << "nodes " << nodes << " step " << step << " dep " << from << "->"
+          << to;
+      if (want > 0) present.emplace_back(from, to);
+      cycles += want < 0;
+      dups += want == 0;
+      ASSERT_EQ(inc.num_deps(), ref.num_deps());
+      ASSERT_FALSE(inc.has_cycle());
+    }
+    // The stream must exercise every outcome.
+    EXPECT_GT(cycles, 0);
+    EXPECT_GT(dups, 0);
+    EXPECT_GT(static_cast<int>(present.size()), 0);
+  }
+}
+
+TEST(Cdg, AcyclicInsertRejectsSelfDepAndLeavesGraphUnchanged) {
+  Cdg cdg(3);
+  EXPECT_EQ(cdg.add_dep_acyclic(1, 1), -1);
+  EXPECT_EQ(cdg.add_dep_acyclic(2, 1), 1);  // against the identity order
+  EXPECT_EQ(cdg.add_dep_acyclic(1, 0), 1);
+  EXPECT_EQ(cdg.add_dep_acyclic(2, 1), 0);
+  EXPECT_EQ(cdg.add_dep_acyclic(0, 2), -1);
+  EXPECT_EQ(cdg.num_deps(), 2);
+  cdg.remove_dep(2, 1);
+  EXPECT_EQ(cdg.add_dep_acyclic(0, 2), 1);  // the order survives removal
+  EXPECT_FALSE(cdg.has_cycle());
+}
+
+TEST(Layers, IncrementalPassMatchesFullDfsOnRandomGraphs) {
+  for (int k = 0; k < 12; ++k) {
+    util::Rng rng(700 + k);
+    const auto g = topo::build_random(topo::Layout::noi_4x5(),
+                                      topo::LinkClass::kMedium, 4, rng);
+    const auto ps = routing::enumerate_shortest_paths(g);
+    if (!ps.all_flows_covered()) continue;
+    SCOPED_TRACE("graph " + std::to_string(k));
+    expect_same_layers(routing::mclb_local_search(ps).table(ps), g, 4, k);
+  }
+}
+
+TEST(Layers, IncrementalPassMatchesFullDfsOnGrid256) {
+  // One order only: the full-DFS reference costs minutes per pass at n = 256
+  // under the sanitizer builds.
+  const auto g = topo::build_mesh(topo::Layout{16, 16, 2.0});
+  const auto ps = routing::enumerate_shortest_paths(g, 4);
+  const auto rt = routing::mclb_local_search(ps).table(ps);
+  expect_same_layers(rt, g, 1, 1);
+}
+
+TEST(Layers, AssignmentIndependentOfOpenMpWidth) {
+#ifndef _OPENMP
+  GTEST_SKIP() << "built without OpenMP";
+#else
+  const int saved = omp_get_max_threads();
+  for (int k = 0; k < 4; ++k) {
+    util::Rng grng(900 + k);
+    const auto g = topo::build_random(topo::Layout::noi_6x5(),
+                                      topo::LinkClass::kMedium, 4, grng);
+    const auto ps = routing::enumerate_shortest_paths(g);
+    if (!ps.all_flows_covered()) continue;
+    const auto rt = routing::RoutingTable::select_first(ps);
+    util::Rng r1(k), r4(k);
+    omp_set_num_threads(1);
+    const auto a1 = assign_layers(rt, g, r1);
+    omp_set_num_threads(4);
+    const auto a4 = assign_layers(rt, g, r4);
+    EXPECT_EQ(a1.num_layers, a4.num_layers) << "graph " << k;
+    EXPECT_EQ(a1.layer, a4.layer) << "graph " << k;
+    EXPECT_EQ(r1.next(), r4.next()) << "graph " << k;
+  }
+  omp_set_num_threads(saved);
+#endif
+}
+
+TEST(Layers, MatchesSerialBestOfRestarts) {
+  // assign_layers equals the serial restart loop over the reference pass:
+  // restart 0 unshuffled, then shuffles, strict < on layers, stop at 1.
+  const auto g = topo::build_folded_torus(topo::Layout::noi_4x5());
+  const auto rt =
+      routing::RoutingTable::select_first(routing::enumerate_shortest_paths(g));
+  const LinkIds ids(g);
+  for (const std::uint64_t seed : {3u, 4u, 5u}) {
+    util::Rng rng(seed), ref_rng(seed);
+    const auto got = assign_layers(rt, g, rng);
+    VcAssignment best;
+    best.num_layers = -1;
+    for (int r = 0; r < 8; ++r) {
+      std::vector<int> order = all_flows(rt);
+      if (r > 0) ref_rng.shuffle(order);
+      const auto a = assign_in_order_reference(rt, ids, order, 16);
+      if (a.num_layers < 0) continue;
+      if (best.num_layers < 0 || a.num_layers < best.num_layers) best = a;
+      if (best.num_layers == 1) break;
+    }
+    EXPECT_EQ(got.num_layers, best.num_layers) << "seed " << seed;
+    EXPECT_EQ(got.layer, best.layer) << "seed " << seed;
+  }
 }
 
 TEST(Layers, SingleLayerForMeshXy) {
