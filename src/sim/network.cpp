@@ -24,19 +24,24 @@ namespace netsmith::sim {
 namespace {
 
 // Activity-driven flit simulator. The per-cycle loop touches only
-//  (a) channels with a flit arriving now (per-channel arrival min-heap),
+//  (a) flits arriving now (a timing wheel of channel ids, one bucket per
+//      cycle of the longest channel latency),
 //  (b) routers in the active set (any buffered input flit or queued source
 //      packet; re-armed on arrival/injection, retired when both drain), and
 //  (c) sources whose pre-sampled geometric injection gap expires now.
 // Idle routers and idle sources therefore cost zero work per cycle, which is
-// the common case over the low-rate half of every injection sweep.
+// the common case over the low-rate half of every injection sweep. Within an
+// active router, each output port and the ejection port visit only the
+// (input, VC) slots whose head flit requests them (see switch_router).
 //
-// cfg.reference_mode keeps the original full-scan loop (every router, every
-// output, every cycle; per-cycle linear scan of the injection schedule) as a
-// bit-exact oracle: skipping a router with no buffered flits and no queued
-// packets is a no-op (round-robin pointers only move on grants), and routers
-// are visited in ascending index order in both modes, so instantaneous
-// credit returns are observed identically.
+// cfg.reference_mode keeps the original full-scan switch (every router,
+// every output, every (input, VC) slot, every cycle; per-cycle linear scan of
+// the injection schedule) as a bit-exact oracle: skipping a router with no
+// buffered flits and no queued packets, or a slot whose head flit requests
+// another port, is a no-op (round-robin pointers only move on grants), and
+// routers are visited in ascending index order in both modes, so
+// instantaneous credit returns are observed identically. Arrival delivery is
+// shared by both modes; test_sim_fingerprint pins it.
 class Simulator {
  public:
   Simulator(const core::NetworkPlan& plan, const TrafficConfig& traffic,
@@ -55,7 +60,6 @@ class Simulator {
     if (cfg.faults != nullptr && !cfg.faults->empty()) {
       faults_ = cfg.faults;
       link_down_.assign(channels_.size(), 0);
-      wire_armed_.assign(channels_.size(), 0);
       router_down_.assign(static_cast<std::size_t>(n_), 0);
       // Route-of-record per epoch: unrepaired epochs point at the base plan.
       epoch_tables_.reserve(faults_->epochs.size());
@@ -82,6 +86,7 @@ class Simulator {
 
     stats_.cycles_run = horizon;
     for (long cycle = 0; cycle < horizon; ++cycle) {
+      wheel_now_ = static_cast<int>(cycle % static_cast<long>(wheel_.size()));
       if (faults_) apply_fault_events(cycle);
       deliver_arrivals(cycle);
       if (cfg_.reference_mode)
@@ -136,11 +141,17 @@ class Simulator {
  private:
   // --- Setup -------------------------------------------------------------
   void build_channels() {
+    if (n_ > INT16_MAX)  // Flit::port and Flit::hop are 16-bit
+      throw std::invalid_argument("simulate: more than 32767 routers");
+    if (plan_.vc_map.num_vcs > cfg_.num_vcs)
+      throw std::invalid_argument(
+          "simulate: the plan's VC map uses more VCs than SimConfig::num_vcs");
     // No dense (u, v) -> channel map: lookups go through the per-router
     // adjacency lists, and an n^2-int table would dominate the simulator's
     // footprint at n = 1024 (4 MB for a graph with ~4n channels).
     out_edges_.resize(n_);
     in_edges_.resize(n_);
+    int max_latency = 0;
     for (const auto& [u, v] : plan_.graph.edges()) {
       Channel ch;
       ch.src = u;
@@ -149,20 +160,42 @@ class Simulator {
       if (cfg_.extra_edge_delay.rows() == static_cast<std::size_t>(n_))
         ch.latency += cfg_.extra_edge_delay(u, v);
       ch.init(cfg_.num_vcs, cfg_.buf_flits);
+      max_latency = std::max(max_latency, ch.latency);
       ch.k_at_dst = static_cast<int>(in_edges_[v].size());
       const int id = static_cast<int>(channels_.size());
       out_edges_[u].push_back(id);
       in_edges_[v].push_back(id);
       channels_.push_back(std::move(ch));
     }
+    // A flit pushed at cycle c lands in bucket (c + latency) mod W with
+    // latency < W, so no bucket is reused before it has been drained.
+    wheel_.resize(static_cast<std::size_t>(max_latency) + 1);
     out_rr_.assign(channels_.size(), 0);
     // Per-router occupancy bitmask over (input k, vc) slots, so arbitration
     // visits only non-empty slots. Usable when every slot index — including
     // the injection input at k == in_degree — fits in one word.
     buf_mask_.assign(n_, 0);
     mask_ok_.resize(n_);
-    for (int u = 0; u < n_; ++u)
-      mask_ok_[u] = (in_edges_[u].size() + 1) * cfg_.num_vcs <= 64;
+    std::size_t max_out = 0, max_slots = 0;
+    for (int u = 0; u < n_; ++u) {
+      const std::size_t slots = (in_edges_[u].size() + 1) * cfg_.num_vcs;
+      mask_ok_[u] = slots <= 64;
+      max_out = std::max(max_out, out_edges_[u].size());
+      max_slots = std::max(max_slots, slots);
+    }
+    port_req_.assign(max_out, 0);
+    slot_input_.resize(max_slots);
+    for (std::size_t slot = 0; slot < max_slots; ++slot)
+      slot_input_[slot] = static_cast<int>(slot / cfg_.num_vcs);
+  }
+
+  // Position of the (u, v) channel in u's out-edge list (u's output port
+  // toward v), or -1 when there is none (including v == -1).
+  int port_to(int u, int v) const {
+    const auto& outs = out_edges_[u];
+    for (std::size_t j = 0; j < outs.size(); ++j)
+      if (channels_[outs[j]].dst == v) return static_cast<int>(j);
+    return -1;
   }
 
   void prepare_traffic() {
@@ -285,7 +318,8 @@ class Simulator {
     p->dst = dst;
     p->flits = flits;
     p->vc = vc;
-    p->src_next = table.next_hop(src, src, dst);
+    p->src_port = port_to(src, table.next_hop(src, src, dst));
+    p->route = table.path(src, dst).data();
     p->epoch = static_cast<int>(cur_epoch_);
     p->inject_cycle = cycle;
     p->tagged = cycle >= cfg_.warmup && cycle < cfg_.warmup + cfg_.measure;
@@ -340,9 +374,8 @@ class Simulator {
   // path never reaches it.
 
   int channel_id(int u, int v) const {
-    for (int id : out_edges_[u])
-      if (channels_[id].dst == v) return id;
-    return -1;
+    const int j = port_to(u, v);
+    return j < 0 ? -1 : out_edges_[u][j];
   }
 
   // The routing a packet was injected under (its epoch of record).
@@ -373,13 +406,12 @@ class Simulator {
           if (id >= 0 && link_down_[id]) {
             link_down_[id] = 0;
             Channel& ch = channels_[id];
-            // Stranded flits resume: re-arm the arrival heap unless an entry
-            // for this channel is already pending.
-            if (!ch.wire_empty() && !wire_armed_[id]) {
-              arrival_heap_.emplace(std::max(ch.wire_front().arrive, cycle),
-                                    id);
-              wire_armed_[id] = 1;
-            }
+            // Stranded flits resume this cycle. Flits due now or later still
+            // have their own wheel entries; overdue ones lost theirs while
+            // the link was down, so one entry in the current bucket delivers
+            // them all.
+            if (!ch.wire_empty() && ch.wire_front().arrive < cycle)
+              wheel_[wheel_now_].push_back(id);
           }
           break;
         }
@@ -449,8 +481,8 @@ class Simulator {
           }
         }
         ch.wire_count = kept;
-        // A now-stale heap entry self-corrects: its pop delivers nothing and
-        // re-arms from the surviving front (see deliver_arrivals).
+        // The purged flits' wheel entries go stale: each finds the surviving
+        // front not yet due and delivers nothing (see deliver_arrivals).
       }
       for (int vc = 0; vc < ch.vcs; ++vc) {
         if (ch.count[vc] > 0) {
@@ -482,24 +514,24 @@ class Simulator {
   }
 
   // --- Flit movement -------------------------------------------------------
-  // Event-driven delivery: instead of scanning every channel every cycle, a
-  // min-heap holds one (earliest in-flight arrival, channel) entry per
-  // channel with flits on the wire. Per-channel arrivals are monotone (FIFO
-  // wire, fixed latency), so the invariant "in the heap iff flight
-  // non-empty" survives pops and re-arms. Every delivery re-arms the
-  // downstream router's active bit.
+  // Timing-wheel delivery: every wire_push appends its channel id to the
+  // bucket of the cycle its flit arrives, so this cycle's bucket lists exactly
+  // the channels with a flit due now — one entry per flit, the same count as
+  // one pop per delivered flit from a per-channel arrival heap. Deliveries to
+  // different channels commute (each writes its own channel's buffer; the
+  // occupancy bit, buffered count and active bit are order-free), and each
+  // wire stays FIFO, so bucket order cannot change any result. Each entry
+  // delivers its wire's front while it is due: fault-free that is exactly
+  // its own flit; stale entries left by lossy purges deliver nothing, and the
+  // entry kLinkUp adds delivers every flit stranded past its arrival cycle.
   void deliver_arrivals(long cycle) {
-    while (!arrival_heap_.empty() && arrival_heap_.top().first <= cycle) {
-      const int id = arrival_heap_.top().second;
-      arrival_heap_.pop();
-      ++stats_.arrival_heap_pops;
+    std::vector<int>& bucket = wheel_[static_cast<std::size_t>(wheel_now_)];
+    for (const int id : bucket) {
+      ++stats_.arrival_events;
+      // A down link strands its in-flight flits: the entry is dropped and
+      // kLinkUp re-arms the channel.
+      if (faults_ && link_down_[id]) continue;
       Channel& ch = channels_[id];
-      if (faults_) {
-        wire_armed_[id] = 0;
-        // A down link strands its in-flight flits: no delivery, no re-arm
-        // (kLinkUp re-arms). Drops the heap entry on the floor.
-        if (link_down_[id]) continue;
-      }
       bool delivered = false;
       while (!ch.wire_empty() && ch.wire_front().arrive <= cycle) {
         const InFlight& f = ch.wire_front();
@@ -511,20 +543,60 @@ class Simulator {
         ++in_buffered_[ch.dst];
         delivered = true;
       }
-      // Fault-free, every pop delivers (the heap invariant guarantees a due
-      // front), so the guard never changes behavior; it exists for stale
-      // entries left by lossy purges and link-up re-arms.
       if (delivered) activate(ch.dst);
-      if (!ch.wire_empty()) {
-        arrival_heap_.emplace(ch.wire_front().arrive, id);
-        if (faults_) wire_armed_[id] = 1;
-      }
+    }
+    bucket.clear();
+  }
+
+  // One switch-allocation pass at router u: ejection first, then every
+  // output port in out-edge order. Masked routers (mask_ok_) walk the
+  // occupancy mask once and bucket each occupied slot by its head flit's
+  // requested port, so each port offers its grant only to its own
+  // requesters, in the same round-robin order the full scan uses. The
+  // buckets stay exact for the whole visit: only u pops u's input buffers,
+  // and a pop marks that input port busy for the rest of the cycle, so any
+  // slot whose head changes mid-visit is refused by input_port_free anyway.
+  // The injection slot is checked live per port instead, because ejecting a
+  // request can queue a reply here, and with io_flits_per_cycle >= 2 a grant
+  // can finish the head packet and expose the next one.
+  void switch_router(int u, long cycle) {
+    const auto& outs = out_edges_[u];
+    if (cfg_.reference_mode || !mask_ok_[u]) {
+      eject_scan(u, cycle);
+      for (std::size_t j = 0; j < outs.size(); ++j) output_scan(u, j, cycle);
+      return;
+    }
+    const auto& ins = in_edges_[u];
+    const int vcs = cfg_.num_vcs;
+    std::uint64_t eject = 0;
+    std::fill_n(port_req_.begin(), outs.size(), 0);
+    for (std::uint64_t m = buf_mask_[u]; m; m &= m - 1) {
+      const int slot = std::countr_zero(m);
+      const int k = slot_input_[slot];
+      const int port = channels_[ins[k]].front(slot - k * vcs).port;
+      (port < 0 ? eject : port_req_[port]) |= 1ULL << slot;
+    }
+    if (eject) eject_masked(u, eject, cycle);
+    const std::size_t inj_base = ins.size() * vcs;
+    const auto& sq = sources_[u];
+    for (std::size_t j = 0; j < outs.size(); ++j) {
+      std::uint64_t m = port_req_[j];
+      if (!sq.packets.empty() &&
+          sq.packets.front()->src_port == static_cast<int>(j))
+        m |= 1ULL << (inj_base + sq.packets.front()->vc);
+      if (m) output_masked(u, j, m, cycle);
     }
   }
 
-  void switch_router(int u, long cycle) {
-    ejection(u, cycle);
-    for (int eid : out_edges_[u]) arbitrate_output(u, eid, cycle);
+  // Offers the set bits of m to `grant` in cyclic order starting at slot rr
+  // and stops at the first grant.
+  template <class Grant>
+  static bool first_grant(std::uint64_t m, int rr, Grant&& grant) {
+    const std::uint64_t below_rr = (1ULL << rr) - 1;
+    for (std::uint64_t part : {m & ~below_rr, m & below_rr})
+      for (; part; part &= part - 1)
+        if (grant(std::countr_zero(part))) return true;
+    return false;
   }
 
   // Per-cycle activity accounting. The SimStats sum is always maintained
@@ -546,8 +618,8 @@ class Simulator {
         .add(static_cast<std::uint64_t>(flits_injected_));
     obs::counter("sim.flits_ejected")
         .add(static_cast<std::uint64_t>(flits_ejected_));
-    obs::counter("sim.arrival_heap_pops")
-        .add(static_cast<std::uint64_t>(stats_.arrival_heap_pops));
+    obs::counter("sim.arrival_events")
+        .add(static_cast<std::uint64_t>(stats_.arrival_events));
     obs::counter("sim.active_router_cycles")
         .add(static_cast<std::uint64_t>(stats_.active_router_cycles));
     auto& h = obs::histogram(
@@ -617,7 +689,8 @@ class Simulator {
     inject_view_.pkt = p;
     inject_view_.head = p->flits_sent == 0;
     inject_view_.tail = p->flits_sent == p->flits - 1;
-    inject_view_.next = p->src_next;
+    inject_view_.port = static_cast<std::int16_t>(p->src_port);
+    inject_view_.hop = 0;
     return &inject_view_;
   }
 
@@ -656,116 +729,103 @@ class Simulator {
     return source_bw_free(sources_[u]);
   }
 
-  void arbitrate_output(int u, int eid, long cycle) {
-    if (faults_ && link_down_[eid]) return;  // down links accept no flits
+  // Switches the head flit of `slot` at router u onto output port j if it
+  // requests that port and wins VC allocation and a credit.
+  bool try_output(int u, std::size_t j, std::size_t slot, long cycle) {
+    const int k = slot_input_[slot];
+    const int vc = static_cast<int>(slot) - k * cfg_.num_vcs;
+    if (!input_port_free(u, k, cycle)) return false;
+    Flit* f = peek(u, k, vc);
+    if (!f) return false;
+    Packet* p = f->pkt;
+    const int eid = out_edges_[u][j];
     Channel& out = channels_[eid];
-    const std::size_t num_inputs = in_edges_[u].size() + 1;
-    const std::size_t slots = num_inputs * cfg_.num_vcs;
-    int& rr = out_rr_[eid];
-
-    // Returns true when the slot wins the output this cycle.
-    const auto try_slot = [&](std::size_t slot) {
-      const std::size_t k = slot / cfg_.num_vcs;
-      const int vc = static_cast<int>(slot % cfg_.num_vcs);
-      if (!input_port_free(u, k, cycle)) return false;
-      Flit* f = peek(u, k, vc);
-      if (!f) return false;
-      Packet* p = f->pkt;
-      if (cfg_.reference_mode) {
-        // Oracle: route from the table per candidate, as the original scan
-        // did. f->next caches exactly this lookup (-1 when p->dst == u).
-        if (p->dst == u) return false;  // belongs to the ejection port
-        if (table_for(p).next_hop(u, p->src, p->dst) != out.dst) return false;
-      } else if (f->next != out.dst) {
-        return false;
-      }
-      // Wormhole VC allocation + credit check.
-      if (out.owner[vc] != nullptr && out.owner[vc] != p) return false;
-      if (out.owner[vc] == nullptr && !f->head) return false;
-      if (out.credits[vc] <= 0) return false;
-
-      // Grant: route the flit for its next router once, here.
-      Flit sent = *f;
-      sent.next = p->dst == out.dst
-                      ? -1
-                      : table_for(p).next_hop(out.dst, p->src, p->dst);
-      pop(u, k, vc, cycle);
-      --out.credits[vc];
-      out.owner[vc] = sent.tail ? nullptr : p;
-      if (out.wire_empty() && (!faults_ || !wire_armed_[eid])) {
-        arrival_heap_.emplace(cycle + out.latency, eid);
-        if (faults_) wire_armed_[eid] = 1;
-      }
-      out.wire_push({cycle + out.latency, sent, vc});
-      rr = static_cast<int>((slot + 1) % slots);
-      return true;  // one flit per output per cycle
-    };
-
-    if (!cfg_.reference_mode && mask_ok_[u]) {
-      // Visit only occupied slots, in the same cyclic order the full scan
-      // uses — empty slots can never be granted, so grants (and hence the
-      // round-robin pointer) are identical.
-      std::uint64_t m = buf_mask_[u];
-      const auto& sq = sources_[u];
-      if (!sq.packets.empty())
-        m |= 1ULL << (in_edges_[u].size() * cfg_.num_vcs +
-                      sq.packets.front()->vc);
-      if (m == 0) return;
-      const std::uint64_t below_rr = (1ULL << rr) - 1;
-      for (std::uint64_t part : {m & ~below_rr, m & below_rr})
-        while (part) {
-          const int slot = std::countr_zero(part);
-          part &= part - 1;
-          if (try_slot(static_cast<std::size_t>(slot))) return;
-        }
-      return;
+    if (cfg_.reference_mode) {
+      // Oracle: route from the table per candidate, as the original scan
+      // did. f->port caches exactly this lookup (-1 when p->dst == u).
+      if (p->dst == u) return false;  // belongs to the ejection port
+      if (table_for(p).next_hop(u, p->src, p->dst) != out.dst) return false;
+    } else if (f->port != static_cast<int>(j)) {
+      return false;
     }
-    for (std::size_t step = 0; step < slots; ++step)
-      if (try_slot((rr + step) % slots)) return;
+    // Wormhole VC allocation + credit check.
+    if (out.owner[vc] != nullptr && out.owner[vc] != p) return false;
+    if (out.owner[vc] == nullptr && !f->head) return false;
+    if (out.credits[vc] <= 0) return false;
+
+    // Grant: route the flit for its next router once, here. Routes are
+    // simple paths, so the router after out.dst is the next route entry.
+    Flit sent = *f;
+    ++sent.hop;
+    sent.port = static_cast<std::int16_t>(
+        p->dst == out.dst ? -1 : port_to(out.dst, p->route[sent.hop + 1]));
+    pop(u, k, vc, cycle);
+    --out.credits[vc];
+    out.owner[vc] = sent.tail ? nullptr : p;
+    out.wire_push({cycle + out.latency, sent, vc});
+    std::size_t bucket = static_cast<std::size_t>(wheel_now_ + out.latency);
+    if (bucket >= wheel_.size()) bucket -= wheel_.size();
+    wheel_[bucket].push_back(eid);
+    const std::size_t slots = (in_edges_[u].size() + 1) * cfg_.num_vcs;
+    out_rr_[eid] = slot + 1 == slots ? 0 : static_cast<int>(slot + 1);
+    return true;  // one flit per output per cycle
   }
 
-  void ejection(int u, long cycle) {
-    if (faults_ && router_down_[static_cast<std::size_t>(u)]) return;
+  void output_scan(int u, std::size_t j, long cycle) {
+    const int eid = out_edges_[u][j];
+    if (faults_ && link_down_[eid]) return;  // down links accept no flits
+    const std::size_t slots = (in_edges_[u].size() + 1) * cfg_.num_vcs;
+    const std::size_t rr = static_cast<std::size_t>(out_rr_[eid]);
+    for (std::size_t step = 0; step < slots; ++step)
+      if (try_output(u, j, (rr + step) % slots, cycle)) return;
+  }
+
+  void output_masked(int u, std::size_t j, std::uint64_t requests,
+                     long cycle) {
+    const int eid = out_edges_[u][j];
+    if (faults_ && link_down_[eid]) return;
+    first_grant(requests, out_rr_[eid],
+                [&](int slot) { return try_output(u, j, slot, cycle); });
+  }
+
+  // Ejects the head flit of `slot` at router u if it is destined here.
+  bool try_eject(int u, std::size_t slot, long cycle) {
+    const int k = slot_input_[slot];
+    const int vc = static_cast<int>(slot) - k * cfg_.num_vcs;
+    if (!input_port_free(u, k, cycle)) return false;
     const auto& ins = in_edges_[u];
+    Channel& ch = channels_[ins[k]];
+    if (ch.empty(vc)) return false;
+    const Flit f = ch.front(vc);
+    if (f.pkt->dst != u) return false;
+    pop(u, k, vc, cycle);
+    ++flits_ejected_;
+    if (f.tail) complete_packet(f.pkt, cycle);
     const std::size_t slots = ins.size() * cfg_.num_vcs;
-    if (slots == 0) return;
-    int& rr = eject_rr_[u];
+    eject_rr_[u] = slot + 1 == slots ? 0 : static_cast<int>(slot + 1);
+    return true;
+  }
 
-    const auto try_slot = [&](std::size_t slot) {
-      const std::size_t k = slot / cfg_.num_vcs;
-      const int vc = static_cast<int>(slot % cfg_.num_vcs);
-      if (!input_port_free(u, k, cycle)) return false;
-      Channel& ch = channels_[ins[k]];
-      if (ch.empty(vc)) return false;
-      const Flit f = ch.front(vc);
-      if (f.pkt->dst != u) return false;
-      pop(u, k, vc, cycle);
-      ++flits_ejected_;
-      if (f.tail) complete_packet(f.pkt, cycle);
-      rr = static_cast<int>((slot + 1) % slots);
-      return true;
-    };
-
+  // Up to io_flits_per_cycle ejections, each the first ejectable slot from
+  // the round-robin pointer on.
+  void eject_scan(int u, long cycle) {
+    if (faults_ && router_down_[static_cast<std::size_t>(u)]) return;
+    const std::size_t slots = in_edges_[u].size() * cfg_.num_vcs;
     for (int granted = 0; granted < cfg_.io_flits_per_cycle; ++granted) {
       bool any = false;
-      if (!cfg_.reference_mode && mask_ok_[u]) {
-        // Reload the mask each grant: the pop above may have emptied a slot.
-        const std::uint64_t m = buf_mask_[u];
-        const std::uint64_t below_rr = (1ULL << rr) - 1;
-        for (std::uint64_t part : {m & ~below_rr, m & below_rr}) {
-          while (part && !any) {
-            const int slot = std::countr_zero(part);
-            part &= part - 1;
-            any = try_slot(static_cast<std::size_t>(slot));
-          }
-          if (any) break;
-        }
-      } else {
-        for (std::size_t step = 0; step < slots && !any; ++step)
-          any = try_slot((rr + step) % slots);
-      }
+      const std::size_t rr = static_cast<std::size_t>(eject_rr_[u]);
+      for (std::size_t step = 0; step < slots && !any; ++step)
+        any = try_eject(u, (rr + step) % slots, cycle);
       if (!any) return;
     }
+  }
+
+  void eject_masked(int u, std::uint64_t requests, long cycle) {
+    if (faults_ && router_down_[static_cast<std::size_t>(u)]) return;
+    for (int granted = 0; granted < cfg_.io_flits_per_cycle; ++granted)
+      if (!first_grant(requests, eject_rr_[u],
+                       [&](int slot) { return try_eject(u, slot, cycle); }))
+        return;
   }
 
   void complete_packet(Packet* p, long cycle) {
@@ -835,12 +895,12 @@ class Simulator {
   util::Rng rng_;
 
   std::vector<Channel> channels_;
-  // One (earliest arrival, channel id) entry per channel with in-flight
-  // flits; see deliver_arrivals.
-  std::priority_queue<std::pair<long, int>, std::vector<std::pair<long, int>>,
-                      std::greater<>>
-      arrival_heap_;
+  // Timing wheel: bucket c mod W lists the channels with a flit arriving at
+  // cycle c (W = longest channel latency + 1); see deliver_arrivals.
+  std::vector<std::vector<int>> wheel_;
+  int wheel_now_ = 0;  // this cycle's bucket
   std::vector<std::vector<int>> out_edges_, in_edges_;
+  std::vector<int> slot_input_;  // (input k, vc) slot -> k, without a divide
   std::vector<int> out_rr_, eject_rr_;
   std::vector<long> last_input_pop_;
   std::vector<SourceQueue> sources_;
@@ -863,6 +923,9 @@ class Simulator {
   // usable while the slot space fits one word (mask_ok_).
   std::vector<std::uint64_t> buf_mask_;
   std::vector<bool> mask_ok_;
+  // Per-output request masks of the router being switched (scratch, sized
+  // to the largest out-degree).
+  std::vector<std::uint64_t> port_req_;
 
   // Injection schedule: next injection cycle per source index, mirrored in a
   // (cycle, idx) min-heap in optimized mode.
@@ -871,11 +934,7 @@ class Simulator {
                       std::greater<>>
       inject_heap_;
 
-  // Fault state (sized only when a non-empty plan is attached). wire_armed_
-  // mirrors "this channel has an arrival-heap entry pending" — the fault
-  // paths (stranding, purges, link-up re-arms) break the fault-free
-  // invariant that an entry exists iff the wire is non-empty, so re-arming
-  // needs an explicit flag to stay duplicate-free.
+  // Fault state (sized only when a non-empty plan is attached).
   const fault::FaultPlan* faults_ = nullptr;
   std::size_t next_event_ = 0;
   std::size_t cur_epoch_ = 0;
@@ -883,7 +942,6 @@ class Simulator {
   std::vector<const vc::VcMap*> epoch_vcs_;
   std::vector<std::uint8_t> link_down_;    // per channel id
   std::vector<std::uint8_t> router_down_;  // per router
-  std::vector<std::uint8_t> wire_armed_;   // per channel id
   std::vector<long> latencies_;  // tagged completion latencies (percentiles)
 
   std::deque<Packet> arena_;        // stable storage; grows only when the

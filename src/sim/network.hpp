@@ -38,10 +38,10 @@ struct SimConfig {
   // Optional per-edge extra delay (e.g. 2-cycle CDC crossings); empty = 0.
   util::Matrix<int> extra_edge_delay;
   // Oracle mode: evaluate every router and output every cycle (the original
-  // full-scan loop) instead of only the members of the active set. Both modes
-  // share buffers, routing caches and the injection-gap sampler, so they
-  // produce bit-identical SimStats for the same seed; the equivalence tests
-  // assert exactly that.
+  // full-scan loop) instead of only the members of the active set and each
+  // output's requesters. Both modes share buffers, routing caches, arrival
+  // delivery and the injection-gap sampler, so they produce bit-identical
+  // SimStats for the same seed; the equivalence tests assert exactly that.
   bool reference_mode = false;
   // Optional fault plan (fault/model.hpp), not owned; null or empty keeps the
   // fault-free hot path bit-identical (test_fault asserts that). Events apply
@@ -77,10 +77,11 @@ struct SimStats {
   // Activity accounting, identical in reference and optimized modes (the
   // equivalence tests assert this): sum over cycles of the number of routers
   // with work pending at the start of the switch phase (buffered input flit
-  // or queued source packet), and total arrival-event pops off the
-  // per-channel wire heap.
+  // or queued source packet), and total arrival-wheel entries drained (one
+  // per delivered flit on fault-free runs; under faults it also counts the
+  // entries of stranded or purged flits and link-up re-arms).
   long active_router_cycles = 0;
-  long arrival_heap_pops = 0;
+  long arrival_events = 0;
   // Fault accounting (all zero / identity on fault-free runs). With faults
   // the conservation invariant gains a term:
   //   flits_injected == flits_ejected + flits_dropped

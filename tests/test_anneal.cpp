@@ -13,41 +13,53 @@
 namespace netsmith::core {
 namespace {
 
-SynthesisConfig small_cfg(Objective obj, double secs = 1.5) {
+SynthesisConfig small_cfg(Objective obj) {
   SynthesisConfig cfg;
   cfg.layout = topo::Layout{2, 3, 2.0};
   cfg.link_class = topo::LinkClass::kMedium;
   cfg.radix = 3;
   cfg.objective = obj;
-  cfg.time_limit_s = secs;
   cfg.restarts = 2;
   cfg.seed = 11;
   return cfg;
 }
 
+// Move-budgeted synthesis: the schedule runs on the move counter, so the
+// result depends on neither the wall clock nor the machine's load.
+SynthesisResult synth(const SynthesisConfig& cfg, long moves_per_restart) {
+  AnnealOptions opts;
+  opts.max_moves = moves_per_restart;
+  return anneal_synthesize(cfg, opts);
+}
+
+// Per-restart budgets for the small instance: the hop objectives evaluate
+// moves far faster than SCOp's exact cut, as the old wall-clock budgets did.
+constexpr long kSmallMoves = 20000;
+constexpr long kSmallScopMoves = 3000;
+
 TEST(Anneal, ProducesValidTopology) {
   const auto cfg = small_cfg(Objective::kLatOp);
-  const auto r = synthesize(cfg);
+  const auto r = synth(cfg, kSmallMoves);
   EXPECT_TRUE(topo::strongly_connected(r.graph));
   EXPECT_TRUE(topo::respects_radix(r.graph, cfg.radix));
   EXPECT_TRUE(topo::respects_link_class(r.graph, cfg.layout, cfg.link_class));
 }
 
 TEST(Anneal, ObjectiveMatchesGraph) {
-  const auto r = synthesize(small_cfg(Objective::kLatOp));
+  const auto r = synth(small_cfg(Objective::kLatOp), kSmallMoves);
   EXPECT_NEAR(r.objective_value, topo::average_hops(r.graph), 1e-9);
 }
 
 TEST(Anneal, RespectsSymmetryConstraint) {
   auto cfg = small_cfg(Objective::kLatOp);
   cfg.symmetric_links = true;
-  const auto r = synthesize(cfg);
+  const auto r = synth(cfg, kSmallMoves);
   EXPECT_TRUE(r.graph.is_symmetric());
   EXPECT_TRUE(topo::respects_radix(r.graph, cfg.radix));
 }
 
 TEST(Anneal, TraceIncumbentMonotone) {
-  const auto r = synthesize(small_cfg(Objective::kLatOp));
+  const auto r = synth(small_cfg(Objective::kLatOp), kSmallMoves);
   ASSERT_FALSE(r.trace.empty());
   for (std::size_t i = 1; i < r.trace.size(); ++i)
     EXPECT_LE(r.trace[i].incumbent, r.trace[i - 1].incumbent + 1e-12);
@@ -56,12 +68,12 @@ TEST(Anneal, TraceIncumbentMonotone) {
 }
 
 TEST(Anneal, BoundIsValidLowerBound) {
-  const auto r = synthesize(small_cfg(Objective::kLatOp));
+  const auto r = synth(small_cfg(Objective::kLatOp), kSmallMoves);
   EXPECT_GE(r.objective_value + 1e-9, r.bound);
 }
 
 TEST(Anneal, ScopMaximizesCut) {
-  const auto r = synthesize(small_cfg(Objective::kSCOp, 2.0));
+  const auto r = synth(small_cfg(Objective::kSCOp), kSmallScopMoves);
   EXPECT_TRUE(topo::strongly_connected(r.graph));
   const auto cut = topo::sparsest_cut_exact(r.graph);
   EXPECT_NEAR(r.objective_value, cut.bandwidth, 1e-9);
@@ -70,21 +82,21 @@ TEST(Anneal, ScopMaximizesCut) {
 }
 
 TEST(Anneal, ScopBeatsOrMatchesLatOpOnBandwidth) {
-  const auto lat = synthesize(small_cfg(Objective::kLatOp, 2.0));
-  const auto scp = synthesize(small_cfg(Objective::kSCOp, 2.0));
+  const auto lat = synth(small_cfg(Objective::kLatOp), kSmallMoves);
+  const auto scp = synth(small_cfg(Objective::kSCOp), kSmallScopMoves);
   const auto bw_lat = topo::sparsest_cut_exact(lat.graph).bandwidth;
   const auto bw_scp = topo::sparsest_cut_exact(scp.graph).bandwidth;
   EXPECT_GE(bw_scp + 1e-9, bw_lat);
 }
 
 TEST(Anneal, PatternObjectiveSpecializes) {
-  auto cfg = small_cfg(Objective::kPattern, 2.0);
+  auto cfg = small_cfg(Objective::kPattern);
   const int n = cfg.layout.n();
   // Traffic only between the two far corners.
   cfg.pattern = util::Matrix<double>(n, n, 0.0);
   cfg.pattern(0, n - 1) = 1.0;
   cfg.pattern(n - 1, 0) = 1.0;
-  const auto r = synthesize(cfg);
+  const auto r = synth(cfg, kSmallMoves);
   const auto dist = topo::apsp_bfs(r.graph);
   // A medium link (2,0) exists, so corner-to-corner should be <= 2 hops on a
   // 2x3 layout once the optimizer dedicates links to the pattern.
@@ -93,18 +105,17 @@ TEST(Anneal, PatternObjectiveSpecializes) {
 }
 
 TEST(Anneal, DiameterBoundHonored) {
-  auto cfg = small_cfg(Objective::kLatOp, 1.5);
+  auto cfg = small_cfg(Objective::kLatOp);
   cfg.diameter_bound = 3;
-  const auto r = synthesize(cfg);
+  const auto r = synth(cfg, kSmallMoves);
   EXPECT_LE(topo::diameter(r.graph), 3);
 }
 
 TEST(Anneal, DeterministicForSeed) {
-  // Time-based annealing is not bit-reproducible across runs, but the
-  // *result quality* for a fixed seed and ample budget must be stable: both
-  // runs reach the small-instance optimum.
-  const auto a = synthesize(small_cfg(Objective::kLatOp, 1.0));
-  const auto b = synthesize(small_cfg(Objective::kLatOp, 1.0));
+  // The result quality for a fixed seed and ample budget must be stable:
+  // both runs reach the small-instance optimum.
+  const auto a = synth(small_cfg(Objective::kLatOp), kSmallMoves);
+  const auto b = synth(small_cfg(Objective::kLatOp), kSmallMoves);
   EXPECT_NEAR(a.objective_value, b.objective_value, 0.15);
 }
 
@@ -251,13 +262,12 @@ TEST(Anneal, FillsPortBudgetOnLargerInstance) {
   cfg.layout = topo::Layout::noi_4x5();
   cfg.link_class = topo::LinkClass::kMedium;
   cfg.objective = Objective::kLatOp;
-  cfg.time_limit_s = 2.0;
   cfg.restarts = 1;
   cfg.seed = 5;
-  const auto r = synthesize(cfg);
+  const auto r = synth(cfg, 200000);
   // Paper SV-D: NetSmith "maximally uses all available router ports".
   EXPECT_GE(r.graph.num_directed_edges(), 70);  // of 80 possible
-  // Even a 2-second budget must land below the folded torus (2.32); the
+  // Even a short budget must land below the folded torus (2.32); the
   // full-budget runs reach ~2.07 (Table II reproduction).
   EXPECT_LT(topo::average_hops(r.graph), 2.32);
 }

@@ -80,7 +80,7 @@ void expect_stats_equal(const SimStats& a, const SimStats& b) {
   EXPECT_EQ(a.credits_consistent, b.credits_consistent);
   EXPECT_EQ(a.owners_clear, b.owners_clear);
   EXPECT_EQ(a.active_router_cycles, b.active_router_cycles);
-  EXPECT_EQ(a.arrival_heap_pops, b.arrival_heap_pops);
+  EXPECT_EQ(a.arrival_events, b.arrival_events);
   EXPECT_EQ(a.flits_dropped, b.flits_dropped);
   EXPECT_EQ(a.packets_dropped, b.packets_dropped);
   EXPECT_EQ(a.tagged_dropped, b.tagged_dropped);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/anneal.hpp"
 #include "core/netsmith.hpp"
 #include "sim/sweep.hpp"
 #include "system/workload.hpp"
@@ -19,10 +20,11 @@ TEST(Pipeline, SynthesizeRoutePlanSimulate) {
   cfg.layout = topo::Layout::noi_4x5();
   cfg.link_class = topo::LinkClass::kMedium;
   cfg.objective = core::Objective::kLatOp;
-  cfg.time_limit_s = 2.0;
   cfg.restarts = 1;
   cfg.seed = 31;
-  const auto synth = core::synthesize(cfg);
+  core::AnnealOptions budget;
+  budget.max_moves = 200000;  // move-budgeted: independent of machine load
+  const auto synth = core::anneal_synthesize(cfg, budget);
   ASSERT_TRUE(topo::strongly_connected(synth.graph));
 
   const auto plan = core::plan_network(synth.graph, cfg.layout,

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/anneal.hpp"
 #include "core/netsmith.hpp"
 #include "topo/cuts.hpp"
 #include "topo/metrics.hpp"
@@ -10,23 +11,30 @@
 namespace netsmith::core {
 namespace {
 
+// Move-budgeted synthesis: independent of the wall clock and machine load.
+SynthesisResult synth(const SynthesisConfig& cfg, long moves_per_restart) {
+  AnnealOptions opts;
+  opts.max_moves = moves_per_restart;
+  return anneal_synthesize(cfg, opts);
+}
+
 TEST(MinBandwidth, ConstraintHonoredOnTinyInstance) {
   SynthesisConfig cfg;
   cfg.layout = topo::Layout{2, 3, 2.0};
   cfg.link_class = topo::LinkClass::kMedium;
   cfg.radix = 3;
   cfg.objective = Objective::kLatOp;
-  cfg.time_limit_s = 2.0;
   cfg.restarts = 2;
   cfg.seed = 17;
+  const long kMoves = 20000;
 
   // Unconstrained latency optimum and its bandwidth.
-  const auto free_run = synthesize(cfg);
+  const auto free_run = synth(cfg, kMoves);
   const double free_bw = topo::sparsest_cut_exact(free_run.graph).bandwidth;
 
   // Achievable bandwidth ceiling from a SCOp run.
   cfg.objective = Objective::kSCOp;
-  const auto scop = synthesize(cfg);
+  const auto scop = synth(cfg, 3000);
   const double max_bw = scop.objective_value;
   if (max_bw <= free_bw + 1e-9)
     GTEST_SKIP() << "latency optimum already bandwidth-optimal here";
@@ -35,7 +43,7 @@ TEST(MinBandwidth, ConstraintHonoredOnTinyInstance) {
   // SCOp proved achievable.
   cfg.objective = Objective::kLatOp;
   cfg.min_cut_bandwidth = 0.5 * (free_bw + max_bw);
-  const auto constrained = synthesize(cfg);
+  const auto constrained = synth(cfg, kMoves);
   const double got = topo::sparsest_cut_exact(constrained.graph).bandwidth;
   EXPECT_GE(got + 1e-9, cfg.min_cut_bandwidth);
   // The latency can only get worse (or stay equal) under the extra
@@ -49,11 +57,10 @@ TEST(MinBandwidth, TrivialConstraintChangesNothingStructural) {
   cfg.link_class = topo::LinkClass::kMedium;
   cfg.radix = 3;
   cfg.objective = Objective::kLatOp;
-  cfg.time_limit_s = 1.5;
   cfg.restarts = 2;
   cfg.seed = 18;
   cfg.min_cut_bandwidth = 0.01;  // any connected topology clears this
-  const auto r = synthesize(cfg);
+  const auto r = synth(cfg, 20000);
   EXPECT_TRUE(topo::strongly_connected(r.graph));
   EXPECT_GE(topo::sparsest_cut_exact(r.graph).bandwidth, 0.01);
 }
@@ -63,11 +70,10 @@ TEST(MinBandwidth, WorksAtPaperScale) {
   cfg.layout = topo::Layout::noi_4x5();
   cfg.link_class = topo::LinkClass::kMedium;
   cfg.objective = Objective::kLatOp;
-  cfg.time_limit_s = 6.0;
   cfg.restarts = 2;
   cfg.seed = 19;
   cfg.min_cut_bandwidth = 0.085;  // above the FT's 1/12, below the class UB
-  const auto r = synthesize(cfg);
+  const auto r = synth(cfg, 100000);
   EXPECT_GE(topo::sparsest_cut_exact(r.graph).bandwidth + 1e-9, 0.085);
   // Should still deliver decent latency (better than folded torus).
   EXPECT_LT(r.objective_value, 2.32);

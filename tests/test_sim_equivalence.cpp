@@ -1,8 +1,8 @@
 // Reference-vs-optimized simulator equivalence: the activity-driven event
-// loop (active router set, cached next-hops, heap-scheduled injection) must
-// produce bit-identical SimStats to the full per-cycle scan for the same
-// seed — across every TrafficKind, several topologies and seeds, and on both
-// sides of the saturation knee.
+// loop (active router set, per-output request masks, cached output ports,
+// heap-scheduled injection) must produce bit-identical SimStats to the full
+// per-cycle scan for the same seed — across every TrafficKind, several
+// topologies and seeds, and on both sides of the saturation knee.
 
 #include <gtest/gtest.h>
 
@@ -30,9 +30,9 @@ void expect_identical(const SimStats& ref, const SimStats& opt) {
   EXPECT_EQ(ref.owners_clear, opt.owners_clear);
   // Activity counters: the reference pre-scan and the optimized active-set
   // popcount must count exactly the same routers every cycle, and arrival
-  // deliveries share one heap-driven code path.
+  // deliveries share one timing-wheel code path.
   EXPECT_EQ(ref.active_router_cycles, opt.active_router_cycles);
-  EXPECT_EQ(ref.arrival_heap_pops, opt.arrival_heap_pops);
+  EXPECT_EQ(ref.arrival_events, opt.arrival_events);
   // Fault accounting: zero/identity on these fault-free runs, and identical
   // between modes either way.
   EXPECT_EQ(ref.flits_dropped, opt.flits_dropped);
@@ -58,7 +58,7 @@ void run_both(const core::NetworkPlan& plan, const TrafficConfig& traffic,
   // Guard against vacuous equivalence (both empty).
   EXPECT_GT(ref.total_injected, 0);
   EXPECT_GT(ref.active_router_cycles, 0);
-  EXPECT_GT(ref.arrival_heap_pops, 0);
+  EXPECT_GT(ref.arrival_events, 0);
 }
 
 core::NetworkPlan plan_for(const topo::DiGraph& g, const topo::Layout& lay) {
