@@ -6,7 +6,7 @@
 // Usage: perf_report [--smoke] [--out PATH] [--min-apsp-speedup X]
 //                    [--min-sim-speedup X] [--min-mclb-speedup X]
 //                    [--max-obs-overhead-pct X] [--min-delta-apsp-speedup X]
-//                    [--min-vc-speedup X]
+//                    [--min-vc-speedup X] [--min-bisection-speedup X]
 //   --smoke              short budgets (CI-friendly, ~10 s total); the
 //                        n_scaling block covers n = {48, 256} instead of the
 //                        full {48, 128, 256, 512, 1024} curve
@@ -28,6 +28,10 @@
 //                        (Pearce-Kelly cycle check) is not at least X times
 //                        the full-DFS oracle pass on the same flow order (a
 //                        disagreement between the two passes always fails)
+//   --min-bisection-speedup X exit non-zero if bisection_bandwidth's O(1)-
+//                        gain pair swap is not at least X times the flip/undo
+//                        pair-swap oracle on a random n = 256 fabric (a
+//                        disagreement between the two values always fails)
 //
 // Speedups are measured as in-process ratios (optimized and reference runs
 // interleaved in the same process), so they stay meaningful on a noisy
@@ -35,6 +39,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -109,6 +114,68 @@ vc::VcAssignment assign_in_order_full_dfs(const routing::RoutingTable& rt,
   return a;
 }
 
+// The n > 24 bisection heuristic as it was before the O(1)-gain kernel: each
+// candidate (a, b) swap flips both memberships, recounts their crossing
+// edges from the adjacency lists, and undoes the flips on rejection. Oracle
+// arm of the bisection ratio (same seed, starts, scan order, accept rule).
+void flip_node_oracle(const topo::DiGraph& g, std::vector<std::uint8_t>& in_u,
+                      int b, int* uv, int* vu) {
+  const auto tally = [&](int d) {
+    for (int x : g.out_neighbors(b)) {
+      if (in_u[b] && !in_u[x]) *uv += d;
+      else if (!in_u[b] && in_u[x]) *vu += d;
+    }
+    for (int x : g.in_neighbors(b)) {
+      if (in_u[x] && !in_u[b]) *uv += d;
+      else if (!in_u[x] && in_u[b]) *vu += d;
+    }
+  };
+  tally(-1);
+  in_u[b] = !in_u[b];
+  tally(+1);
+}
+
+int bisection_pair_swap_oracle(const topo::DiGraph& g) {
+  const int n = g.num_nodes();
+  const int half = n / 2;
+  util::Rng rng(0xB15EC7);
+  int best = std::numeric_limits<int>::max();
+  for (int restart = 0; restart < 96; ++restart) {
+    std::vector<int> perm(n);
+    for (int i = 0; i < n; ++i) perm[i] = i;
+    rng.shuffle(perm);
+    std::vector<std::uint8_t> in_u(n, 0);
+    for (int i = 0; i < half; ++i) in_u[perm[i]] = 1;
+    int uv = 0, vu = 0;
+    for (int i = 0; i < n; ++i)
+      for (int j : g.out_neighbors(i)) {
+        if (in_u[i] && !in_u[j]) ++uv;
+        else if (!in_u[i] && in_u[j]) ++vu;
+      }
+    bool improved = true;
+    while (improved) {
+      improved = false;
+      for (int a = 0; a < n && !improved; ++a) {
+        if (!in_u[a]) continue;
+        for (int b = 0; b < n && !improved; ++b) {
+          if (in_u[b]) continue;
+          const int before = std::min(uv, vu);
+          flip_node_oracle(g, in_u, a, &uv, &vu);
+          flip_node_oracle(g, in_u, b, &uv, &vu);
+          if (std::min(uv, vu) < before) {
+            improved = true;
+          } else {
+            flip_node_oracle(g, in_u, b, &uv, &vu);
+            flip_node_oracle(g, in_u, a, &uv, &vu);
+          }
+        }
+      }
+    }
+    best = std::min(best, std::min(uv, vu));
+  }
+  return best;
+}
+
 struct Report {
   bool smoke = false;
   double anneal_moves_per_sec = 0.0;
@@ -142,6 +209,12 @@ struct Report {
   double vc_incremental_passes_per_sec = 0.0;
   double vc_full_dfs_passes_per_sec = 0.0;
   double vc_speedup = 0.0;
+  // Schema 7: O(1)-gain bisection pair swap vs the flip/undo oracle.
+  int bisection_bw = 0;
+  bool bisection_match = true;
+  double bisection_kernel_ms = 0.0;
+  double bisection_oracle_ms = 0.0;
+  double bisection_speedup = 0.0;
   // Schema 4: synthesis + simulation throughput vs n.
   struct ScalePoint {
     int n = 0;
@@ -161,9 +234,10 @@ void write_json(const Report& r, const std::string& path) {
   // v4: adds "delta_apsp" (incremental-APSP move engine vs full re-sweep)
   // and "n_scaling" (synthesis + sim throughput vs n); v5 adds "vc_layers"
   // (incremental VC-layering pass vs full-DFS oracle); v6 adds the loaded
-  // (past-the-knee) simulator arm to "sim". Every older field is
+  // (past-the-knee) simulator arm to "sim"; v7 adds "bisection" (O(1)-gain
+  // pair-swap kernel vs the flip/undo oracle). Every older field is
   // byte-compatible so the perf trajectory across PRs stays diffable.
-  w.field_int("schema", 6);
+  w.field_int("schema", 7);
   w.field_bool("smoke", r.smoke);
   w.begin_object("anneal");
   w.field_fmt("moves_per_sec", "%.1f", r.anneal_moves_per_sec);
@@ -211,6 +285,13 @@ void write_json(const Report& r, const std::string& path) {
   w.field_fmt("full_dfs_passes_per_sec", "%.1f", r.vc_full_dfs_passes_per_sec);
   w.field_fmt("speedup", "%.2f", r.vc_speedup);
   w.end();
+  w.begin_object("bisection");
+  w.field_int("n", 256);
+  w.field_int("bandwidth", r.bisection_bw);
+  w.field_fmt("kernel_ms", "%.3f", r.bisection_kernel_ms);
+  w.field_fmt("oracle_ms", "%.3f", r.bisection_oracle_ms);
+  w.field_fmt("speedup", "%.2f", r.bisection_speedup);
+  w.end();
   w.begin_array("n_scaling");
   for (const auto& p : r.scaling) {
     w.begin_object();
@@ -244,6 +325,7 @@ int main(int argc, char** argv) {
   double max_obs_overhead_pct = 0.0;
   double min_dapsp_speedup = 0.0;
   double min_vc_speedup = 0.0;
+  double min_bisection_speedup = 0.0;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--smoke")) rep.smoke = true;
     else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) out = argv[++i];
@@ -259,12 +341,15 @@ int main(int argc, char** argv) {
       min_dapsp_speedup = std::atof(argv[++i]);
     else if (!std::strcmp(argv[i], "--min-vc-speedup") && i + 1 < argc)
       min_vc_speedup = std::atof(argv[++i]);
+    else if (!std::strcmp(argv[i], "--min-bisection-speedup") && i + 1 < argc)
+      min_bisection_speedup = std::atof(argv[++i]);
     else {
       std::fprintf(stderr,
                    "usage: perf_report [--smoke] [--out PATH] "
                    "[--min-apsp-speedup X] [--min-sim-speedup X] "
                    "[--min-mclb-speedup X] [--max-obs-overhead-pct X] "
-                   "[--min-delta-apsp-speedup X] [--min-vc-speedup X]\n");
+                   "[--min-delta-apsp-speedup X] [--min-vc-speedup X] "
+                   "[--min-bisection-speedup X]\n");
       return 2;
     }
   }
@@ -378,6 +463,34 @@ int main(int argc, char** argv) {
     rep.vc_full_dfs_passes_per_sec = static_cast<double>(passes) / ref_s;
     rep.vc_speedup =
         rep.vc_incremental_passes_per_sec / rep.vc_full_dfs_passes_per_sec;
+  }
+
+  // --- Bisection: O(1)-gain pair swap vs the flip/undo oracle. -----------
+  // bisection_bandwidth on a random 16x16 fabric (radix 4), arms
+  // interleaved so machine-load noise cancels out of the ratio. One oracle
+  // call takes about a second, so even the smoke budget runs each arm at
+  // least once; the two values must agree on every call.
+  {
+    const topo::Layout lay{16, 16, 2.0};
+    util::Rng rng(13);
+    const auto g = topo::build_random(lay, topo::LinkClass::kMedium, 4, rng);
+    util::WallTimer total;
+    double kernel_s = 0.0, oracle_s = 0.0;
+    long calls = 0;
+    do {
+      util::WallTimer w;
+      const int bw = topo::bisection_bandwidth(g);
+      kernel_s += w.seconds();
+      w.reset();
+      const int ref = bisection_pair_swap_oracle(g);
+      oracle_s += w.seconds();
+      rep.bisection_match = rep.bisection_match && bw == ref;
+      rep.bisection_bw = bw;
+      ++calls;
+    } while (total.seconds() < kernel_budget * 2.0);
+    rep.bisection_kernel_ms = kernel_s * 1e3 / static_cast<double>(calls);
+    rep.bisection_oracle_ms = oracle_s * 1e3 / static_cast<double>(calls);
+    rep.bisection_speedup = oracle_s / kernel_s;
   }
 
   // --- Delta-APSP move engine vs full re-sweep at n = 256. ----------------
@@ -767,7 +880,8 @@ int main(int argc, char** argv) {
   std::printf("perf_report%s: anneal %.0f moves/s | apsp48 %.0f ns (scalar "
               "%.0f ns, %.2fx) | dapsp256 %.0f ns/move (full %.0f ns, %.2fx, "
               "%.1f rows/move) | cut20 %.2f ms | mclb %.0f routes/s (scan "
-              "%.0f, %.2fx) | vc %.0f passes/s (full dfs %.1f, %.2fx) | sim "
+              "%.0f, %.2fx) | vc %.0f passes/s (full dfs %.1f, %.2fx) | bisection "
+              "%.1f ms (oracle %.0f ms, %.2fx) | sim "
               "%.2e cyc/s (ref %.2e, %.2fx; loaded %.2e, ref %.2e) | obs "
               "+%.1f%%/+%.1f%% -> %s\n",
               rep.smoke ? " [smoke]" : "", rep.anneal_moves_per_sec,
@@ -778,7 +892,8 @@ int main(int argc, char** argv) {
               rep.mclb_scan_routes_per_sec, rep.mclb_speedup,
               rep.vc_incremental_passes_per_sec,
               rep.vc_full_dfs_passes_per_sec, rep.vc_speedup,
-              rep.sim_cycles_per_sec, rep.sim_ref_cycles_per_sec,
+              rep.bisection_kernel_ms, rep.bisection_oracle_ms,
+              rep.bisection_speedup, rep.sim_cycles_per_sec, rep.sim_ref_cycles_per_sec,
               rep.sim_speedup, rep.sim_loaded_cycles_per_sec,
               rep.sim_loaded_ref_cycles_per_sec, rep.obs_sim_overhead_pct,
               rep.obs_mclb_overhead_pct, out.c_str());
@@ -820,6 +935,20 @@ int main(int argc, char** argv) {
                  "perf_report: VC-layering incremental speedup %.2fx below "
                  "required %.2fx\n",
                  rep.vc_speedup, min_vc_speedup);
+    return 1;
+  }
+  if (!rep.bisection_match) {
+    std::fprintf(stderr,
+                 "perf_report: bisection kernel disagrees with the flip/undo "
+                 "pair-swap oracle\n");
+    return 1;
+  }
+  if (min_bisection_speedup > 0.0 &&
+      rep.bisection_speedup < min_bisection_speedup) {
+    std::fprintf(stderr,
+                 "perf_report: bisection O(1)-gain speedup %.2fx below "
+                 "required %.2fx\n",
+                 rep.bisection_speedup, min_bisection_speedup);
     return 1;
   }
   if (max_obs_overhead_pct > 0.0 &&

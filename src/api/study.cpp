@@ -387,10 +387,14 @@ void Study::run_topology_job(TopologyArtifact& t) {
     synth_count_.fetch_add(1);
   }
   if (spec_.analytic) {
+    obs::Span span("topo/analytic");
     const auto& g = t.topo.graph;
     t.avg_hops = topo::average_hops(g);
     t.diameter = topo::diameter(g);
-    t.bisection_bw = topo::bisection_bandwidth(g);
+    {
+      obs::Span bisection_span("topo/bisection");
+      t.bisection_bw = topo::bisection_bandwidth(g);
+    }
     // The sparsest-cut heuristic packs partitions into a 64-bit mask; past
     // that the cut bound is simply not reported (reads as 0) rather than
     // capping the whole analytic block at n = 64.

@@ -96,77 +96,76 @@ void require_mask_width(const DiGraph& g, const char* who) {
                                 ": n > 64 exceeds the uint64 partition mask");
 }
 
-// Scalar membership-vector variants for graphs wider than one mask word
-// (bisection_bandwidth supports arbitrary n; masks cap the other APIs).
-void count_cross_scalar(const DiGraph& g, const std::vector<std::uint8_t>& in_u,
-                        int* cross_uv, int* cross_vu) {
-  int uv = 0, vu = 0;
-  const int n = g.num_nodes();
-  for (int i = 0; i < n; ++i) {
-    for (int j : g.out_neighbors(i)) {
-      if (in_u[i] && !in_u[j]) ++uv;
-      else if (!in_u[i] && in_u[j]) ++vu;
-    }
-  }
-  *cross_uv = uv;
-  *cross_vu = vu;
-}
-
-void flip_node_scalar(const DiGraph& g, std::vector<std::uint8_t>& in_u, int b,
-                      int* cross_uv, int* cross_vu, int* u_size) {
-  const bool entering_u = !in_u[b];
-  // Remove b's current contribution, then re-add with flipped membership.
-  for (int x : g.out_neighbors(b)) {
-    if (in_u[b] && !in_u[x]) --*cross_uv;
-    else if (!in_u[b] && in_u[x]) --*cross_vu;
-  }
-  for (int x : g.in_neighbors(b)) {
-    if (in_u[x] && !in_u[b]) --*cross_uv;
-    else if (!in_u[x] && in_u[b]) --*cross_vu;
-  }
-  in_u[b] = entering_u ? 1 : 0;
-  *u_size += entering_u ? 1 : -1;
-  for (int x : g.out_neighbors(b)) {
-    if (in_u[b] && !in_u[x]) ++*cross_uv;
-    else if (!in_u[b] && in_u[x]) ++*cross_vu;
-  }
-  for (int x : g.in_neighbors(b)) {
-    if (in_u[x] && !in_u[b]) ++*cross_uv;
-    else if (!in_u[x] && in_u[b]) ++*cross_vu;
-  }
-}
-
-// Heuristic bisection for n > 64: the pre-bitset implementation over a
-// membership vector (no mask-width limit).
-int bisection_heuristic_scalar(const DiGraph& g) {
+// Pair-swap bisection heuristic for any n: 96 random balanced starts, each
+// refined by first-improvement swaps of a in U with b in V (ascending a, then
+// b; rescan from a = 0 after every accepted swap) while the weaker direction's
+// crossing count strictly drops. Per restart, ou[x] / iu[x] count x's out- /
+// in-neighbours in U, so a candidate swap's crossing counts are read in O(1)
+// (Kernighan-Lin gains) and only an accepted swap walks adjacency lists.
+int bisection_pair_swap(const DiGraph& g) {
   const int n = g.num_nodes();
   const int half = n / 2;
+  std::vector<int> outdeg(n), indeg(n);
+  for (int x = 0; x < n; ++x) {
+    outdeg[x] = g.out_degree(x);
+    indeg[x] = g.in_degree(x);
+  }
+  std::vector<int> perm(n), ou(n), iu(n);
+  std::vector<std::uint8_t> in_u(n);
+  // Adds (d = +1) or removes (d = -1) x's share of its neighbours' U counts.
+  const auto shift = [&](int x, int d) {
+    for (const int y : g.out_neighbors(x)) iu[y] += d;
+    for (const int y : g.in_neighbors(x)) ou[y] += d;
+  };
   util::Rng rng(0xB15EC7);
   int best = std::numeric_limits<int>::max();
   for (int restart = 0; restart < 96; ++restart) {
-    std::vector<int> perm(n);
     for (int i = 0; i < n; ++i) perm[i] = i;
     rng.shuffle(perm);
-    std::vector<std::uint8_t> in_u(n, 0);
-    for (int i = 0; i < half; ++i) in_u[perm[i]] = 1;
+    std::fill(in_u.begin(), in_u.end(), 0);
+    std::fill(ou.begin(), ou.end(), 0);
+    std::fill(iu.begin(), iu.end(), 0);
+    for (int i = 0; i < half; ++i) {
+      in_u[perm[i]] = 1;
+      shift(perm[i], 1);
+    }
     int uv = 0, vu = 0;
-    count_cross_scalar(g, in_u, &uv, &vu);
+    for (int x = 0; x < n; ++x) {
+      if (in_u[x]) uv += outdeg[x] - ou[x];
+      else vu += ou[x];
+    }
     bool improved = true;
     while (improved) {
       improved = false;
-      int usz = half;
+      const int cur = std::min(uv, vu);
       for (int a = 0; a < n && !improved; ++a) {
         if (!in_u[a]) continue;
-        for (int b = 0; b < n && !improved; ++b) {
+        // Crossing counts once a has moved to V.
+        const int uv1 = uv - (outdeg[a] - ou[a]) + iu[a];
+        const int vu1 = vu - (indeg[a] - iu[a]) + ou[a];
+        const std::uint8_t* a_row = g.row(a);
+        for (int b = 0; b < n; ++b) {
           if (in_u[b]) continue;
-          const int before = std::min(uv, vu);
-          flip_node_scalar(g, in_u, a, &uv, &vu, &usz);
-          flip_node_scalar(g, in_u, b, &uv, &vu, &usz);
-          if (std::min(uv, vu) < before) {
+          // Then b moves to U. With a already gone, b's neighbours in U
+          // number ou[b] - [b->a] and iu[b] - [a->b], so both directions
+          // gain the same c = [a->b] + [b->a] >= 0 on top of the c = 0
+          // counts: if those are not below cur, the swap is rejected.
+          const int both = ou[b] + iu[b];
+          int uv2 = uv1 + outdeg[b] - both;
+          int vu2 = vu1 + indeg[b] - both;
+          if (std::min(uv2, vu2) >= cur) continue;
+          const int c = a_row[b] + g.row(b)[a];
+          uv2 += c;
+          vu2 += c;
+          if (std::min(uv2, vu2) < cur) {
+            in_u[a] = 0;
+            shift(a, -1);
+            in_u[b] = 1;
+            shift(b, 1);
+            uv = uv2;
+            vu = vu2;
             improved = true;
-          } else {
-            flip_node_scalar(g, in_u, b, &uv, &vu, &usz);
-            flip_node_scalar(g, in_u, a, &uv, &vu, &usz);
+            break;
           }
         }
       }
@@ -373,63 +372,23 @@ std::vector<Cut> sparsest_cuts_topk(const DiGraph& g, int k) {
 int bisection_bandwidth(const DiGraph& g) {
   const int n = g.num_nodes();
   if (n < 2) return 0;
-  // Wider than one mask word: scalar membership-vector heuristic (the
-  // parametric baselines generate graphs at arbitrary router counts).
-  if (n > 64) return bisection_heuristic_scalar(g);
+  if (n > 24) return bisection_pair_swap(g);
   const int half = n / 2;
-
-  if (n <= 24) {
-    // Enumerate subsets of size `half` with node n-1 fixed in V (for even n
-    // this visits each unordered bisection once; for odd n, U is the smaller
-    // side).
-    int best = std::numeric_limits<int>::max();
-    // Iterate combinations of {0..n-2} choose half via bit tricks.
-    std::uint64_t comb = (1ULL << half) - 1;
-    const std::uint64_t limit = 1ULL << (n - 1);
-    while (comb < limit) {
-      int uv = 0, vu = 0;
-      count_cross(g, comb, &uv, &vu);
-      best = std::min(best, std::min(uv, vu));
-      // Gosper's hack: next combination with the same popcount.
-      const std::uint64_t c = comb & (~comb + 1);
-      const std::uint64_t r = comb + c;
-      comb = (((r ^ comb) >> 2) / c) | r;
-    }
-    return best;
-  }
-
-  // Heuristic: random balanced partitions + pair-swap refinement.
-  util::Rng rng(0xB15EC7);
+  // Enumerate subsets of size `half` with node n-1 fixed in V (for even n
+  // this visits each unordered bisection once; for odd n, U is the smaller
+  // side).
   int best = std::numeric_limits<int>::max();
-  for (int restart = 0; restart < 96; ++restart) {
-    std::vector<int> perm(n);
-    for (int i = 0; i < n; ++i) perm[i] = i;
-    rng.shuffle(perm);
-    std::uint64_t mask = 0;
-    for (int i = 0; i < half; ++i) mask |= 1ULL << perm[i];
+  // Iterate combinations of {0..n-2} choose half via bit tricks.
+  std::uint64_t comb = (1ULL << half) - 1;
+  const std::uint64_t limit = 1ULL << (n - 1);
+  while (comb < limit) {
     int uv = 0, vu = 0;
-    count_cross(g, mask, &uv, &vu);
-    bool improved = true;
-    while (improved) {
-      improved = false;
-      int usz = half;
-      for (int a = 0; a < n && !improved; ++a) {
-        if (!(mask >> a & 1)) continue;
-        for (int b = 0; b < n && !improved; ++b) {
-          if (mask >> b & 1) continue;
-          const int before = std::min(uv, vu);
-          flip_node(g, mask, a, &uv, &vu, &usz);
-          flip_node(g, mask, b, &uv, &vu, &usz);
-          if (std::min(uv, vu) < before) {
-            improved = true;
-          } else {
-            flip_node(g, mask, b, &uv, &vu, &usz);
-            flip_node(g, mask, a, &uv, &vu, &usz);
-          }
-        }
-      }
-    }
+    count_cross(g, comb, &uv, &vu);
     best = std::min(best, std::min(uv, vu));
+    // Gosper's hack: next combination with the same popcount.
+    const std::uint64_t c = comb & (~comb + 1);
+    const std::uint64_t r = comb + c;
+    comb = (((r ^ comb) >> 2) / c) | r;
   }
   return best;
 }

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "topo/builders.hpp"
+#include "topologies/registry.hpp"
 
 namespace netsmith::topo {
 namespace {
@@ -116,6 +121,150 @@ TEST(Bisection, AsymmetricUsesWeakerDirection) {
   // Any balanced cut crosses the one-directional ring once each way at
   // best; min direction = 1.
   EXPECT_EQ(bisection_bandwidth(g), 1);
+}
+
+// The n > 24 pair-swap heuristic as it was written before the O(1)-gain
+// kernel: each candidate (a, b) swap flips both nodes' memberships, recounts
+// their crossing edges from the adjacency lists, and undoes the flips on
+// rejection. Same seed, starts, scan order and accept rule, so it must
+// return bisection_bandwidth's value on every graph.
+void flip_node_oracle(const DiGraph& g, std::vector<std::uint8_t>& in_u, int b,
+                      int* uv, int* vu) {
+  const auto tally = [&](int d) {
+    for (int x : g.out_neighbors(b)) {
+      if (in_u[b] && !in_u[x]) *uv += d;
+      else if (!in_u[b] && in_u[x]) *vu += d;
+    }
+    for (int x : g.in_neighbors(b)) {
+      if (in_u[x] && !in_u[b]) *uv += d;
+      else if (!in_u[x] && in_u[b]) *vu += d;
+    }
+  };
+  tally(-1);
+  in_u[b] = !in_u[b];
+  tally(+1);
+}
+
+int pair_swap_oracle(const DiGraph& g) {
+  const int n = g.num_nodes();
+  const int half = n / 2;
+  util::Rng rng(0xB15EC7);
+  int best = std::numeric_limits<int>::max();
+  for (int restart = 0; restart < 96; ++restart) {
+    std::vector<int> perm(n);
+    for (int i = 0; i < n; ++i) perm[i] = i;
+    rng.shuffle(perm);
+    std::vector<std::uint8_t> in_u(n, 0);
+    for (int i = 0; i < half; ++i) in_u[perm[i]] = 1;
+    int uv = 0, vu = 0;
+    for (int i = 0; i < n; ++i)
+      for (int j : g.out_neighbors(i)) {
+        if (in_u[i] && !in_u[j]) ++uv;
+        else if (!in_u[i] && in_u[j]) ++vu;
+      }
+    bool improved = true;
+    while (improved) {
+      improved = false;
+      for (int a = 0; a < n && !improved; ++a) {
+        if (!in_u[a]) continue;
+        for (int b = 0; b < n && !improved; ++b) {
+          if (in_u[b]) continue;
+          const int before = std::min(uv, vu);
+          flip_node_oracle(g, in_u, a, &uv, &vu);
+          flip_node_oracle(g, in_u, b, &uv, &vu);
+          if (std::min(uv, vu) < before) {
+            improved = true;
+          } else {
+            flip_node_oracle(g, in_u, b, &uv, &vu);
+            flip_node_oracle(g, in_u, a, &uv, &vu);
+          }
+        }
+      }
+    }
+    best = std::min(best, std::min(uv, vu));
+  }
+  return best;
+}
+
+// Random graph on n nodes: each node from `isolated` up draws k random
+// partners (duplex links if symmetric, else one-way edges, so in- and
+// out-degrees differ); nodes below `isolated` keep degree 0.
+DiGraph random_graph(int n, int k, bool symmetric, int isolated,
+                     util::Rng& rng) {
+  DiGraph g(n);
+  for (int x = isolated; x < n; ++x)
+    for (int t = 0; t < k; ++t) {
+      const int y = static_cast<int>(rng.uniform_int(isolated, n - 1));
+      if (y == x) continue;
+      if (symmetric) g.add_duplex(x, y);
+      else g.add_edge(x, y);
+    }
+  return g;
+}
+
+// The oracle scan costs O(n^2) swap candidates per pass, each walking four
+// neighbour lists, and runs about 40x slower under the sanitizer builds; the
+// graph set is sized to keep that affordable. Larger graphs, such as the
+// 32x16 mesh, are checked through their pinned values below.
+TEST(Bisection, GainKernelMatchesPairSwapOracle) {
+  std::vector<std::pair<std::string, DiGraph>> graphs;
+  util::Rng rng(4242);
+  // 24 < n <= 64 (the old mask-word path): sparse to dense, symmetric and
+  // asymmetric, with up to three isolated nodes.
+  for (int i = 0; i < 16; ++i) {
+    const int n = 25 + static_cast<int>(rng.uniform_int(0, 39));
+    graphs.emplace_back("mask-range #" + std::to_string(i),
+                        random_graph(n, 1 + i % 3, i % 2 == 0, i % 4, rng));
+  }
+  // n > 64 (the old membership-vector path).
+  const struct {
+    int n, k;
+  } wide[] = {{65, 2}, {97, 2}, {200, 1}};
+  for (int i = 0; i < static_cast<int>(std::size(wide)); ++i)
+    graphs.emplace_back(
+        "wide #" + std::to_string(i),
+        random_graph(wide[i].n, wide[i].k, i % 2 == 1, i % 3, rng));
+  graphs.emplace_back("mesh 16x16", build_mesh(Layout{16, 16, 2.0}));
+  for (const auto& [name, g] : graphs) {
+    ASSERT_GT(g.num_nodes(), 24) << name;
+    EXPECT_EQ(bisection_bandwidth(g), pair_swap_oracle(g))
+        << name << " (n = " << g.num_nodes() << ")";
+  }
+  // The random set must actually hold degree-0 nodes and nodes whose in-
+  // and out-degrees differ.
+  bool isolated = false, unbalanced = false;
+  for (const auto& [name, g] : graphs)
+    for (int x = 0; x < g.num_nodes(); ++x) {
+      isolated |= g.out_degree(x) == 0 && g.in_degree(x) == 0;
+      unbalanced |= g.out_degree(x) != g.in_degree(x);
+    }
+  EXPECT_TRUE(isolated);
+  EXPECT_TRUE(unbalanced);
+}
+
+// Heuristic values pinned from the implementation before the O(1)-gain
+// kernel. The mesh values are what the pair swap reports, not the optimum:
+// the 32x16 mesh's row cut crosses 16 links each way, but the swap search
+// stops at 33.
+TEST(Bisection, PinnedHeuristicValues) {
+  EXPECT_EQ(bisection_bandwidth(build_mesh(Layout{16, 16, 2.0})), 16);
+  EXPECT_EQ(bisection_bandwidth(build_mesh(Layout{9, 9, 2.0})), 10);
+  EXPECT_EQ(bisection_bandwidth(build_mesh(Layout{32, 16, 2.0})), 33);
+  const std::pair<const char*, int> cat48[] = {
+      {"Mesh-48", 6},
+      {"Kite-like-small-48", 10},
+      {"FoldedTorus-48", 12},
+      {"Kite-like-medium-48", 12},
+      {"Kite-like-large-48", 13},
+      {"NS-LatOp-small-48", 9},
+      {"NS-LatOp-medium-48", 13},
+      {"NS-LatOp-large-48", 16},
+  };
+  const auto cat = topologies::catalog_48();
+  ASSERT_EQ(cat.size(), std::size(cat48));
+  for (const auto& [name, bw] : cat48)
+    EXPECT_EQ(bisection_bandwidth(topologies::find(cat, name).graph), bw)
+        << name;
 }
 
 }  // namespace
