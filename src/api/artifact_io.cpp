@@ -3,6 +3,7 @@
 #include <exception>
 #include <utility>
 
+#include "obs/trace.hpp"
 #include "util/json.hpp"
 
 namespace netsmith::api {
@@ -50,6 +51,7 @@ std::vector<int> as_int_vector(const JsonValue& a) {
 
 std::string topology_artifact_payload(const TopologyArtifact& t,
                                       bool analytic) {
+  obs::Span span("api/artifact_encode");
   JsonValue o = header(kTopologyArtifactKind);
   o.set("adjacency", JsonValue::string(t.topo.graph.to_string()));
   o.set("analytic", JsonValue::boolean(analytic));
@@ -85,6 +87,7 @@ std::string topology_artifact_payload(const TopologyArtifact& t,
 
 bool restore_topology_artifact(const std::string& payload, bool analytic,
                                TopologyArtifact& t) {
+  obs::Span span("api/artifact_decode");
   try {
     const JsonValue doc = parse_payload(payload, kTopologyArtifactKind);
     if (!doc.is_object()) return false;
@@ -181,6 +184,7 @@ util::Matrix<int> matrix_from_json(const JsonValue& o) {
 }  // namespace
 
 std::string plan_artifact_payload(const PlanArtifact& p) {
+  obs::Span span("api/artifact_encode");
   JsonValue o = header(kPlanArtifactKind);
   const auto& plan = p.plan;
   o.set("policy", JsonValue::string(core::to_string(plan.policy)));
@@ -223,6 +227,7 @@ std::string plan_artifact_payload(const PlanArtifact& p) {
 }
 
 bool restore_plan_artifact(const std::string& payload, PlanArtifact& p) {
+  obs::Span span("api/artifact_decode");
   try {
     const JsonValue doc = parse_payload(payload, kPlanArtifactKind);
     if (!doc.is_object()) return false;
@@ -293,6 +298,7 @@ bool restore_plan_artifact(const std::string& payload, PlanArtifact& p) {
 // ------------------------------------------------------------------- sweep --
 
 std::string sweep_artifact_payload(const sim::SweepResult& r) {
+  obs::Span span("api/artifact_encode");
   JsonValue o = header(kSweepArtifactKind);
   o.set("zero_load_latency_cycles",
         JsonValue::number(r.zero_load_latency_cycles));
@@ -318,6 +324,7 @@ std::string sweep_artifact_payload(const sim::SweepResult& r) {
 }
 
 bool restore_sweep_artifact(const std::string& payload, sim::SweepResult& r) {
+  obs::Span span("api/artifact_decode");
   try {
     const JsonValue doc = parse_payload(payload, kSweepArtifactKind);
     if (!doc.is_object()) return false;

@@ -21,6 +21,9 @@
 // caller treats the entry as a cache miss and recomputes. restore_* never
 // throws.
 //
+// *_payload calls record an api/artifact_encode trace span and restore_*
+// calls an api/artifact_decode span: a traced Study shows the codec's cost.
+//
 // Round-trip contract (asserted in tests/test_serve.cpp): restoring a
 // payload into a fresh artifact slot reproduces every report-visible field
 // bit-exactly, including shortest-round-trip doubles, so cached and

@@ -8,6 +8,7 @@
 #include <limits>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -916,10 +917,16 @@ SynthesisResult anneal_synthesize(const SynthesisConfig& cfg,
     offset += opts.max_moves > 0 ? outcomes[r].duration_s : per_restart;
   }
 
-  if (!have || best_restart < 0)
+  if (!have || best_restart < 0) {
+    const std::string budget =
+        opts.max_moves > 0
+            ? "move budget (" + std::to_string(opts.max_moves) +
+                  " moves per restart)"
+            : "time budget (" + std::to_string(cfg.time_limit_s) + " s)";
     throw std::runtime_error(
         "anneal_synthesize: no topology satisfying the constraints "
-        "(diameter / min-bandwidth) was found within the time budget");
+        "(diameter / min-bandwidth) was found within the " + budget);
+  }
 
   result.graph = outcomes[best_restart].graph;
   result.objective_value = outcomes[best_restart].primary;

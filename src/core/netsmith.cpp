@@ -75,7 +75,6 @@ NetworkPlan plan_network(const topo::DiGraph& g, const topo::Layout& layout,
     obs::Span span("routing/enumerate");
     return routing::enumerate_shortest_paths(g, max_paths_per_flow);
   }();
-  util::Rng rng(seed);
 
   if (policy == RoutingPolicy::kMclb) {
     // Deterministic local search only: abl_mclb shows it matches the exact
@@ -86,11 +85,12 @@ NetworkPlan plan_network(const topo::DiGraph& g, const topo::Layout& layout,
   } else {
     const auto filtered = routing::ndbt_filter(all_paths, layout);
     plan.ndbt_fallback_flows = filtered.flows_without_legal_path;
+    util::Rng rng(seed);
     plan.table = routing::RoutingTable::select_random(filtered.paths, rng);
     plan.max_channel_load = routing::analyze_uniform(plan.table).max_load;
   }
 
-  const auto layers = vc::assign_layers(plan.table, g, rng);
+  const auto layers = vc::assign_layers(plan.table, g);
   plan.vc_layers = layers.num_layers;
   plan.vc_map = vc::balance_vcs(layers, plan.table, num_vcs);
   // Check deadlock freedom on the VC map the simulator will use, so a broken

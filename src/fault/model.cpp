@@ -313,8 +313,7 @@ FaultPlan prepare_fault_plan(const core::NetworkPlan& plan,
         ep.table = std::move(rr.table);
         // Re-layer for deadlock freedom: the repaired routes are new channel
         // dependencies, so the old VC layering is not valid for them.
-        util::Rng rng(scenario.seed);
-        const vc::VcAssignment a = vc::assign_layers(ep.table, plan.graph, rng);
+        const vc::VcAssignment a = vc::assign_layers(ep.table, plan.graph);
         ep.vc_map = vc::balance_vcs(a, ep.table, plan.num_vcs);
         if (!vc::verify_acyclic(vc::layer_assignment(ep.vc_map), ep.table,
                                 plan.graph))

@@ -34,7 +34,9 @@ std::pair<int, int> cross_edge_counts(const DiGraph& g, std::uint64_t u_mask);
 Cut evaluate_cut(const DiGraph& g, std::uint64_t u_mask);
 
 // Exhaustive sparsest cut; requires n <= 26 (2^(n-1) partitions, enumerated
-// incrementally via Gray code and parallelized with OpenMP).
+// incrementally via Gray code; serial for n <= 8, split across OpenMP
+// threads above). Ties keep the first partition in Gray-code order, so every
+// field of the result is the same at any OpenMP width.
 Cut sparsest_cut_exact(const DiGraph& g);
 
 // Local-search heuristic: random subsets refined by single-node moves.

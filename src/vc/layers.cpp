@@ -1,6 +1,5 @@
 #include "vc/layers.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -59,41 +58,19 @@ VcAssignment assign_layers_in_order(const routing::RoutingTable& rt,
 }
 
 VcAssignment assign_layers(const routing::RoutingTable& rt,
-                           const topo::DiGraph& g, util::Rng& rng,
-                           int restarts, int max_layers) {
+                           const topo::DiGraph& g, int max_layers) {
   obs::Span span("vc/assign_layers");
   const int n = rt.num_nodes();
-  const LinkIds ids(g);
   std::vector<int> flows;
   for (int s = 0; s < n; ++s)
     for (int d = 0; d < n; ++d)
       if (s != d && rt.path(s, d).size() >= 2) flows.push_back(s * n + d);
-  // Orders are drawn serially, so the rng stream matches a serial loop:
-  // restart 0 keeps flow order, each later restart shuffles a fresh copy.
-  std::vector<std::vector<int>> orders(std::max(restarts, 0));
-  for (int r = 1; r < restarts; ++r) {
-    orders[r] = flows;
-    rng.shuffle(orders[r]);
-  }
-  if (restarts > 0) orders[0] = std::move(flows);
-
-  std::vector<VcAssignment> results(orders.size());
-#pragma omp parallel for schedule(dynamic)
-  for (int r = 0; r < restarts; ++r)
-    results[r] =
-        assign_layers_in_order(rt, ids, std::move(orders[r]), max_layers);
-
-  // Serial reduction in restart order: the first restart with the fewest
-  // layers wins, whatever the OpenMP width.
-  VcAssignment* best = nullptr;
-  for (auto& a : results) {
-    if (a.num_layers < 0) continue;
-    if (!best || a.num_layers < best->num_layers) best = &a;
-    if (best->num_layers == 1) break;
-  }
-  if (!best) throw std::runtime_error("assign_layers: exceeded max_layers");
-  span.arg("layers", best->num_layers);
-  return std::move(*best);
+  VcAssignment a =
+      assign_layers_in_order(rt, LinkIds(g), std::move(flows), max_layers);
+  if (a.num_layers < 0)
+    throw std::runtime_error("assign_layers: exceeded max_layers");
+  span.arg("layers", a.num_layers);
+  return a;
 }
 
 bool verify_acyclic(const VcAssignment& a, const routing::RoutingTable& rt,

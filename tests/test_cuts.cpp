@@ -8,6 +8,10 @@
 #include <string>
 #include <vector>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "topo/builders.hpp"
 #include "topologies/registry.hpp"
 
@@ -68,6 +72,51 @@ TEST(SparsestCut, DisconnectedIsZero) {
 TEST(SparsestCut, RejectsOversizedExact) {
   DiGraph g(27);
   EXPECT_THROW(sparsest_cut_exact(g), std::invalid_argument);
+}
+
+void expect_same_cut(const Cut& a, const Cut& b, const std::string& what) {
+  EXPECT_EQ(a.u_mask, b.u_mask) << what;
+  EXPECT_EQ(a.u_size, b.u_size) << what;
+  EXPECT_EQ(a.cross_uv, b.cross_uv) << what;
+  EXPECT_EQ(a.cross_vu, b.cross_vu) << what;
+  EXPECT_EQ(a.bandwidth, b.bandwidth) << what;
+}
+
+TEST(SparsestCut, SameCutAtAnyOpenMpWidth) {
+  // Regular fabrics and random graphs with tied sparsest cuts: every width
+  // returns the tie that the one-thread scan returns. (Seed 88 at n = 8 once
+  // gave different masks at widths 1 and 4.)
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+#endif
+  const std::pair<Layout, std::uint64_t> cases[] = {
+      {Layout{2, 4, 2.0}, 88}, {Layout{2, 7, 2.0}, 0}, {Layout::noi_4x5(), 4}};
+  for (const auto& [lay, seed] : cases) {
+    util::Rng rng(seed);
+    const std::vector<std::pair<std::string, DiGraph>> graphs{
+        {"mesh", build_mesh(lay)},
+        {"folded torus", build_folded_torus(lay)},
+        {"random", build_random(lay, LinkClass::kMedium, 3, rng)}};
+    for (const auto& [name, g] : graphs) {
+      const std::string what = name + " n=" + std::to_string(g.num_nodes());
+      Cut first;
+      for (const int width : {1, 2, 4}) {
+#ifdef _OPENMP
+        omp_set_num_threads(width);
+#endif
+        const Cut c = sparsest_cut_exact(g);
+        if (width == 1) {
+          first = c;
+          EXPECT_EQ(c.bandwidth, brute_sparsest(g).bandwidth) << what;
+          EXPECT_EQ(c.u_mask >> (g.num_nodes() - 1), 0u) << what;
+        }
+        expect_same_cut(c, first, what + " width " + std::to_string(width));
+      }
+    }
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
 }
 
 // Property: the heuristic can never report a sparser cut than the exact

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/anneal.hpp"
 #include "core/netsmith.hpp"
 #include "topo/cuts.hpp"
@@ -52,6 +55,32 @@ TEST(MinBandwidth, ConstraintHonoredOnTinyInstance) {
   // The latency can only get worse (or stay equal) under the extra
   // constraint.
   EXPECT_GE(constrained.objective_value + 1e-9, free_run.objective_value);
+}
+
+TEST(MinBandwidth, InfeasibleConstraintNamesTheMoveBudget) {
+  SynthesisConfig cfg;
+  cfg.layout = topo::Layout{2, 4, 2.0};
+  cfg.link_class = topo::LinkClass::kMedium;
+  cfg.radix = 3;
+  cfg.objective = Objective::kLatOp;
+  cfg.restarts = 1;
+  // A single router has at most radix = 3 links to the other 7, so no
+  // topology reaches a sparsest-cut bandwidth of 1.
+  cfg.min_cut_bandwidth = 1.0;
+  EXPECT_THROW(
+      {
+        try {
+          synth(cfg, 200);
+        } catch (const std::runtime_error& e) {
+          const std::string msg = e.what();
+          EXPECT_NE(msg.find("move budget (200 moves per restart)"),
+                    std::string::npos)
+              << msg;
+          EXPECT_EQ(msg.find("time budget"), std::string::npos) << msg;
+          throw;
+        }
+      },
+      std::runtime_error);
 }
 
 TEST(MinBandwidth, TrivialConstraintChangesNothingStructural) {

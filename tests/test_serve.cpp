@@ -35,6 +35,7 @@
 #include "api/spec.hpp"
 #include "api/study.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/store.hpp"
@@ -242,6 +243,34 @@ TEST(ArtifactPayloads, SweepRoundTripIsExact) {
   const api::Report warm = api::run_experiment(spec, with_cache);
   EXPECT_EQ(api::report_to_json(rep), api::report_to_json(cold));
   EXPECT_EQ(api::report_to_json(cold), api::report_to_json(warm));
+}
+
+TEST(ArtifactPayloads, CodecCallsAreTraced) {
+  // A traced cold run records one api/artifact_encode span per stored
+  // artifact, and a traced warm run one api/artifact_decode span per hit.
+  const api::ExperimentSpec spec = baseline_spec();
+  serve::ArtifactStore store(serve::StoreOptions{"", 1 << 20});
+  api::StudyOptions opts;
+  opts.cache = &store;
+  const auto count_spans = [](const char* name) {
+    int k = 0;
+    for (const auto& e : obs::collect_trace_events()) k += e.name == name;
+    return k;
+  };
+  obs::reset_trace();
+  obs::set_trace_enabled(true);
+  api::Study cold(spec, opts);
+  cold.run();
+  const int encodes = count_spans("api/artifact_encode");
+  obs::reset_trace();
+  api::Study warm(spec, opts);
+  warm.run();
+  const int decodes = count_spans("api/artifact_decode");
+  obs::set_trace_enabled(false);
+  obs::reset_trace();
+  EXPECT_GT(cold.artifact_cache_stats().stores, 0);
+  EXPECT_EQ(encodes, cold.artifact_cache_stats().stores);
+  EXPECT_EQ(decodes, warm.artifact_cache_stats().hits());
 }
 
 // ------------------------------------------------------------ warm study --
