@@ -146,56 +146,118 @@ class Simulator {
     if (plan_.vc_map.num_vcs > cfg_.num_vcs)
       throw std::invalid_argument(
           "simulate: the plan's VC map uses more VCs than SimConfig::num_vcs");
-    // No dense (u, v) -> channel map: lookups go through the per-router
-    // adjacency lists, and an n^2-int table would dominate the simulator's
-    // footprint at n = 1024 (4 MB for a graph with ~4n channels).
-    out_edges_.resize(n_);
-    in_edges_.resize(n_);
+    // No dense (u, v) -> channel map: lookups scan the CSR out-edge lists,
+    // and an n^2-int table would dominate the simulator's footprint at
+    // n = 1024 (4 MB for a graph with ~4n channels).
+    const auto edges = plan_.graph.edges();
+    const std::size_t num_edges = edges.size();
+    in_off_.assign(static_cast<std::size_t>(n_) + 1, 0);
+    out_off_.assign(static_cast<std::size_t>(n_) + 1, 0);
+    for (const auto& [u, v] : edges) {
+      ++out_off_[u + 1];
+      ++in_off_[v + 1];
+    }
+    for (int u = 0; u < n_; ++u) {
+      in_off_[u + 1] += in_off_[u];
+      out_off_[u + 1] += out_off_[u];
+    }
+    in_ch_.resize(num_edges);
+    out_ch_.resize(num_edges);
+    out_dst_.resize(num_edges);
+    std::vector<int> in_fill(in_off_.begin(), in_off_.end() - 1);
+    std::vector<int> out_fill(out_off_.begin(), out_off_.end() - 1);
+    channels_.reserve(num_edges);
     int max_latency = 0;
-    for (const auto& [u, v] : plan_.graph.edges()) {
-      Channel ch;
+    for (const auto& [u, v] : edges) {
+      const int id = static_cast<int>(channels_.size());
+      Channel& ch = channels_.emplace_back();
       ch.src = u;
       ch.dst = v;
       ch.latency = cfg_.router_delay + cfg_.link_delay;
       if (cfg_.extra_edge_delay.rows() == static_cast<std::size_t>(n_))
         ch.latency += cfg_.extra_edge_delay(u, v);
-      ch.init(cfg_.num_vcs, cfg_.buf_flits);
+      ch.init_wire();
       max_latency = std::max(max_latency, ch.latency);
-      ch.k_at_dst = static_cast<int>(in_edges_[v].size());
-      const int id = static_cast<int>(channels_.size());
-      out_edges_[u].push_back(id);
-      in_edges_[v].push_back(id);
-      channels_.push_back(std::move(ch));
+      ch.k_at_dst = in_fill[v] - in_off_[v];
+      in_ch_[in_fill[v]++] = id;
+      out_ch_[out_fill[u]] = id;
+      out_dst_[out_fill[u]++] = v;
     }
+    const std::size_t vcs = cfg_.num_vcs;
+    const std::size_t slots = num_edges * vcs;
+    buf_.assign(slots * cfg_.buf_flits, {});
+    buf_head_.assign(slots, 0);
+    buf_count_.assign(slots, 0);
+    credits_.assign(slots, cfg_.buf_flits);
+    owner_.assign(slots, nullptr);
     // A flit pushed at cycle c lands in bucket (c + latency) mod W with
     // latency < W, so no bucket is reused before it has been drained.
     wheel_.resize(static_cast<std::size_t>(max_latency) + 1);
-    out_rr_.assign(channels_.size(), 0);
-    // Per-router occupancy bitmask over (input k, vc) slots, so arbitration
-    // visits only non-empty slots. Usable when every slot index — including
-    // the injection input at k == in_degree — fits in one word.
-    buf_mask_.assign(n_, 0);
+    out_rr_.assign(num_edges, 0);
+    // Per-router request masks over (input k, vc) slots, so arbitration
+    // visits only the slots whose head flit requests a port. Usable when
+    // every slot index — including the injection input at k == in_degree —
+    // fits in one word; reference mode never uses them.
+    out_req_.assign(num_edges, 0);
+    eject_req_.assign(n_, 0);
     mask_ok_.resize(n_);
-    std::size_t max_out = 0, max_slots = 0;
+    std::size_t max_slots = 0;
     for (int u = 0; u < n_; ++u) {
-      const std::size_t slots = (in_edges_[u].size() + 1) * cfg_.num_vcs;
-      mask_ok_[u] = slots <= 64;
-      max_out = std::max(max_out, out_edges_[u].size());
-      max_slots = std::max(max_slots, slots);
+      const std::size_t router_slots = (in_degree(u) + 1) * vcs;
+      mask_ok_[u] = !cfg_.reference_mode && router_slots <= 64;
+      max_slots = std::max(max_slots, router_slots);
     }
-    port_req_.assign(max_out, 0);
     slot_input_.resize(max_slots);
     for (std::size_t slot = 0; slot < max_slots; ++slot)
-      slot_input_[slot] = static_cast<int>(slot / cfg_.num_vcs);
+      slot_input_[slot] = static_cast<int>(slot / vcs);
+  }
+
+  std::size_t in_degree(int u) const {
+    return static_cast<std::size_t>(in_off_[u + 1] - in_off_[u]);
+  }
+
+  // Global input slot of router u's local slot 0 (input k = 0, vc = 0).
+  std::size_t slot_base(int u) const {
+    return static_cast<std::size_t>(in_off_[u]) * cfg_.num_vcs;
   }
 
   // Position of the (u, v) channel in u's out-edge list (u's output port
   // toward v), or -1 when there is none (including v == -1).
   int port_to(int u, int v) const {
-    const auto& outs = out_edges_[u];
-    for (std::size_t j = 0; j < outs.size(); ++j)
-      if (channels_[outs[j]].dst == v) return static_cast<int>(j);
+    const int end = out_off_[u + 1];
+    for (int i = out_off_[u]; i < end; ++i)
+      if (out_dst_[i] == v) return i - out_off_[u];
     return -1;
+  }
+
+  // Input-buffer rings, one of buf_flits flits per global slot.
+  Flit& front(std::size_t s) {
+    return buf_[s * cfg_.buf_flits + buf_head_[s]];
+  }
+  void push(std::size_t s, const Flit& f) {
+    assert(buf_count_[s] < cfg_.buf_flits);  // credits guarantee a free slot
+    std::size_t i = buf_head_[s] + buf_count_[s];
+    if (i >= static_cast<std::size_t>(cfg_.buf_flits)) i -= cfg_.buf_flits;
+    buf_[s * cfg_.buf_flits + i] = f;
+    ++buf_count_[s];
+  }
+
+  // Request mask of router u's output port (-1: the ejection port).
+  std::uint64_t& req_mask(int u, int port) {
+    return port < 0 ? eject_req_[u] : out_req_[out_off_[u] + port];
+  }
+
+  // Recomputes every request mask from the buffered head flits.
+  void rebuild_masks() {
+    std::fill(out_req_.begin(), out_req_.end(), 0);
+    std::fill(eject_req_.begin(), eject_req_.end(), 0);
+    for (int u = 0; u < n_; ++u) {
+      if (!mask_ok_[u]) continue;
+      const std::size_t base = slot_base(u);
+      for (std::size_t local = 0; local < in_degree(u) * cfg_.num_vcs; ++local)
+        if (buf_count_[base + local] > 0)
+          req_mask(u, front(base + local).port) |= 1ULL << local;
+    }
   }
 
   void prepare_traffic() {
@@ -375,7 +437,7 @@ class Simulator {
 
   int channel_id(int u, int v) const {
     const int j = port_to(u, v);
-    return j < 0 ? -1 : out_edges_[u][j];
+    return j < 0 ? -1 : out_ch_[out_off_[u] + j];
   }
 
   // The routing a packet was injected under (its epoch of record).
@@ -464,53 +526,55 @@ class Simulator {
   // Removes every flit of dropped packets from all wire and buffer rings,
   // restoring the credits those flits held and clearing their VC ownership.
   void purge_dropped() {
+    const int vcs = cfg_.num_vcs;
+    const int cap = cfg_.buf_flits;
     for (std::size_t id = 0; id < channels_.size(); ++id) {
       Channel& ch = channels_[id];
-      if (ch.wire_count > 0) {
-        const int w = ch.wire_count;
-        const std::size_t ring = ch.wire.size();
-        int kept = 0;
-        for (int j = 0; j < w; ++j) {
-          const InFlight f = ch.wire[(ch.wire_head + j) % ring];
-          if (f.flit.pkt->dropped) {
-            ++ch.credits[f.vc];  // reserved downstream slot, never filled
-            ++stats_.flits_dropped;
-          } else {
-            ch.wire[(ch.wire_head + kept) % ring] = f;
-            ++kept;
-          }
+      if (ch.wire_count == 0) continue;
+      const int w = ch.wire_count;
+      const std::size_t ring = ch.wire.size();
+      int kept = 0;
+      for (int j = 0; j < w; ++j) {
+        const InFlight f = ch.wire[(ch.wire_head + j) % ring];
+        if (f.flit.pkt->dropped) {
+          ++credits_[id * vcs + f.vc];  // reserved downstream slot, never filled
+          ++stats_.flits_dropped;
+        } else {
+          ch.wire[(ch.wire_head + kept) % ring] = f;
+          ++kept;
         }
-        ch.wire_count = kept;
-        // The purged flits' wheel entries go stale: each finds the surviving
-        // front not yet due and delivers nothing (see deliver_arrivals).
       }
-      for (int vc = 0; vc < ch.vcs; ++vc) {
-        if (ch.count[vc] > 0) {
-          const int c = ch.count[vc];
+      ch.wire_count = kept;
+      // The purged flits' wheel entries go stale: each finds the surviving
+      // front not yet due and delivers nothing (see deliver_arrivals).
+    }
+    for (int u = 0; u < n_; ++u) {
+      for (int pos = in_off_[u]; pos < in_off_[u + 1]; ++pos) {
+        const std::size_t credit0 = static_cast<std::size_t>(in_ch_[pos]) * vcs;
+        for (int vc = 0; vc < vcs; ++vc) {
+          const std::size_t s = static_cast<std::size_t>(pos) * vcs + vc;
+          const int c = buf_count_[s];
+          Flit* ring = &buf_[s * cap];
           int kept = 0;
           for (int j = 0; j < c; ++j) {
-            const Flit f =
-                ch.buf[static_cast<std::size_t>(vc) * ch.cap +
-                       (ch.head[vc] + j) % ch.cap];
+            const Flit f = ring[(buf_head_[s] + j) % cap];
             if (f.pkt->dropped) {
-              ++ch.credits[vc];
-              --in_buffered_[ch.dst];
+              ++credits_[credit0 + vc];
+              --in_buffered_[u];
               ++stats_.flits_dropped;
             } else {
-              ch.buf[static_cast<std::size_t>(vc) * ch.cap +
-                     (ch.head[vc] + kept) % ch.cap] = f;
+              ring[(buf_head_[s] + kept) % cap] = f;
               ++kept;
             }
           }
-          ch.count[vc] = kept;
-          if (kept == 0 && mask_ok_[ch.dst])
-            buf_mask_[ch.dst] &=
-                ~(1ULL << (ch.k_at_dst * cfg_.num_vcs + vc));
+          buf_count_[s] = static_cast<std::uint16_t>(kept);
         }
-        if (ch.owner[vc] != nullptr && ch.owner[vc]->dropped)
-          ch.owner[vc] = nullptr;
       }
     }
+    for (Packet*& p : owner_)
+      if (p != nullptr && p->dropped) p = nullptr;
+    // Compaction moved head flits without a pop.
+    rebuild_masks();
   }
 
   // --- Flit movement -------------------------------------------------------
@@ -532,57 +596,54 @@ class Simulator {
       // kLinkUp re-arms the channel.
       if (faults_ && link_down_[id]) continue;
       Channel& ch = channels_[id];
+      const int u = ch.dst;
+      const int local0 = ch.k_at_dst * cfg_.num_vcs;
+      const std::size_t base = slot_base(u) + local0;
       bool delivered = false;
       while (!ch.wire_empty() && ch.wire_front().arrive <= cycle) {
         const InFlight& f = ch.wire_front();
-        ch.push(f.vc, f.flit);
-        if (mask_ok_[ch.dst])
-          buf_mask_[ch.dst] |=
-              1ULL << (ch.k_at_dst * cfg_.num_vcs + f.vc);
+        const std::size_t slot = base + f.vc;
+        // A flit landing in an empty slot becomes its head: it requests
+        // its port from now until it pops.
+        if (buf_count_[slot] == 0 && mask_ok_[u])
+          req_mask(u, f.flit.port) |= 1ULL << (local0 + f.vc);
+        push(slot, f.flit);
         ch.wire_pop();
-        ++in_buffered_[ch.dst];
+        ++in_buffered_[u];
         delivered = true;
       }
-      if (delivered) activate(ch.dst);
+      if (delivered) activate(u);
     }
     bucket.clear();
   }
 
   // One switch-allocation pass at router u: ejection first, then every
-  // output port in out-edge order. Masked routers (mask_ok_) walk the
-  // occupancy mask once and bucket each occupied slot by its head flit's
-  // requested port, so each port offers its grant only to its own
-  // requesters, in the same round-robin order the full scan uses. The
-  // buckets stay exact for the whole visit: only u pops u's input buffers,
-  // and a pop marks that input port busy for the rest of the cycle, so any
-  // slot whose head changes mid-visit is refused by input_port_free anyway.
-  // The injection slot is checked live per port instead, because ejecting a
-  // request can queue a reply here, and with io_flits_per_cycle >= 2 a grant
-  // can finish the head packet and expose the next one.
+  // output port in out-edge order. Masked routers (mask_ok_) keep one
+  // request mask per port, holding the slots whose head flit requests it,
+  // so each port offers its grant only to its own requesters, in the same
+  // round-robin order the full scan uses. Deliveries set a slot's bit when
+  // its ring was empty, and pops move it to the new head's port. A pop also
+  // marks its input port busy for the rest of the cycle (input_port_free
+  // would refuse it), so every port's mask drops the busy inputs' slots
+  // before the grant loop. The injection slot is checked live per port
+  // instead, because ejecting a request can queue a reply here, and with
+  // io_flits_per_cycle >= 2 a grant can finish the head packet and expose
+  // the next one.
   void switch_router(int u, long cycle) {
-    const auto& outs = out_edges_[u];
-    if (cfg_.reference_mode || !mask_ok_[u]) {
+    const int outs = out_off_[u + 1] - out_off_[u];
+    if (!mask_ok_[u]) {
       eject_scan(u, cycle);
-      for (std::size_t j = 0; j < outs.size(); ++j) output_scan(u, j, cycle);
+      for (int j = 0; j < outs; ++j) output_scan(u, j, cycle);
       return;
     }
-    const auto& ins = in_edges_[u];
-    const int vcs = cfg_.num_vcs;
-    std::uint64_t eject = 0;
-    std::fill_n(port_req_.begin(), outs.size(), 0);
-    for (std::uint64_t m = buf_mask_[u]; m; m &= m - 1) {
-      const int slot = std::countr_zero(m);
-      const int k = slot_input_[slot];
-      const int port = channels_[ins[k]].front(slot - k * vcs).port;
-      (port < 0 ? eject : port_req_[port]) |= 1ULL << slot;
-    }
-    if (eject) eject_masked(u, eject, cycle);
-    const std::size_t inj_base = ins.size() * vcs;
+    visit_busy_ = 0;
+    if (eject_req_[u]) eject_masked(u, cycle);
+    const std::size_t inj_base = in_degree(u) * cfg_.num_vcs;
     const auto& sq = sources_[u];
-    for (std::size_t j = 0; j < outs.size(); ++j) {
-      std::uint64_t m = port_req_[j];
-      if (!sq.packets.empty() &&
-          sq.packets.front()->src_port == static_cast<int>(j))
+    const std::uint64_t* req = &out_req_[out_off_[u]];
+    for (int j = 0; j < outs; ++j) {
+      std::uint64_t m = req[j] & ~visit_busy_;
+      if (!sq.packets.empty() && sq.packets.front()->src_port == j)
         m |= 1ULL << (inj_base + sq.packets.front()->vc);
       if (m) output_masked(u, j, m, cycle);
     }
@@ -674,10 +735,9 @@ class Simulator {
 
   // Head flit of (input source k, vc) at router u, or nullptr.
   Flit* peek(int u, std::size_t k, int vc) {
-    const auto& ins = in_edges_[u];
-    if (k < ins.size()) {
-      Channel& ch = channels_[ins[k]];
-      return ch.empty(vc) ? nullptr : &ch.front(vc);
+    if (k < in_degree(u)) {
+      const std::size_t s = slot_base(u) + k * cfg_.num_vcs + vc;
+      return buf_count_[s] == 0 ? nullptr : &front(s);
     }
     // Injection source: synthesize the next flit view of the head packet.
     // A down router's NI refuses injection; its queue backs up instead.
@@ -695,15 +755,25 @@ class Simulator {
   }
 
   void pop(int u, std::size_t k, int vc, long cycle) {
-    const auto& ins = in_edges_[u];
-    if (k < ins.size()) {
-      Channel& ch = channels_[ins[k]];
-      ch.pop(vc);
-      if (ch.empty(vc) && mask_ok_[u])
-        buf_mask_[u] &= ~(1ULL << (ch.k_at_dst * cfg_.num_vcs + vc));
-      ++ch.credits[vc];  // instantaneous credit return (simplification)
+    if (k < in_degree(u)) {
+      const int pos = in_off_[u] + static_cast<int>(k);
+      const std::size_t s = static_cast<std::size_t>(pos) * cfg_.num_vcs + vc;
+      const bool masked = mask_ok_[u];
+      const std::uint64_t bit = masked ? 1ULL << (k * cfg_.num_vcs + vc) : 0;
+      if (masked) req_mask(u, front(s).port) &= ~bit;
+      buf_head_[s] = static_cast<std::uint16_t>(
+          buf_head_[s] + 1 == cfg_.buf_flits ? 0 : buf_head_[s] + 1);
+      --buf_count_[s];
+      if (masked) {
+        // The next flit (if any) now heads the slot and requests its port.
+        if (buf_count_[s] > 0) req_mask(u, front(s).port) |= bit;
+        // Masked means (in_degree + 1) * V <= 64, so V < 64 here.
+        visit_busy_ |= ((1ULL << cfg_.num_vcs) - 1) << (k * cfg_.num_vcs);
+      }
+      // Instantaneous credit return (simplification).
+      ++credits_[static_cast<std::size_t>(in_ch_[pos]) * cfg_.num_vcs + vc];
       --in_buffered_[u];
-      last_input_pop_[ins[k]] = cycle;
+      last_input_pop_[pos] = cycle;
     } else {
       auto& sq = sources_[u];
       Packet* p = sq.packets.front();
@@ -724,34 +794,34 @@ class Simulator {
   }
 
   bool input_port_free(int u, std::size_t k, long cycle) const {
-    const auto& ins = in_edges_[u];
-    if (k < ins.size()) return last_input_pop_[ins[k]] != cycle;
+    if (k < in_degree(u)) return last_input_pop_[in_off_[u] + k] != cycle;
     return source_bw_free(sources_[u]);
   }
 
   // Switches the head flit of `slot` at router u onto output port j if it
   // requests that port and wins VC allocation and a credit.
-  bool try_output(int u, std::size_t j, std::size_t slot, long cycle) {
+  bool try_output(int u, int j, std::size_t slot, long cycle) {
     const int k = slot_input_[slot];
     const int vc = static_cast<int>(slot) - k * cfg_.num_vcs;
     if (!input_port_free(u, k, cycle)) return false;
     Flit* f = peek(u, k, vc);
     if (!f) return false;
     Packet* p = f->pkt;
-    const int eid = out_edges_[u][j];
+    const int eid = out_ch_[out_off_[u] + j];
     Channel& out = channels_[eid];
     if (cfg_.reference_mode) {
       // Oracle: route from the table per candidate, as the original scan
       // did. f->port caches exactly this lookup (-1 when p->dst == u).
       if (p->dst == u) return false;  // belongs to the ejection port
       if (table_for(p).next_hop(u, p->src, p->dst) != out.dst) return false;
-    } else if (f->port != static_cast<int>(j)) {
+    } else if (f->port != j) {
       return false;
     }
     // Wormhole VC allocation + credit check.
-    if (out.owner[vc] != nullptr && out.owner[vc] != p) return false;
-    if (out.owner[vc] == nullptr && !f->head) return false;
-    if (out.credits[vc] <= 0) return false;
+    const std::size_t ov = static_cast<std::size_t>(eid) * cfg_.num_vcs + vc;
+    if (owner_[ov] != nullptr && owner_[ov] != p) return false;
+    if (owner_[ov] == nullptr && !f->head) return false;
+    if (credits_[ov] <= 0) return false;
 
     // Grant: route the flit for its next router once, here. Routes are
     // simple paths, so the router after out.dst is the next route entry.
@@ -760,29 +830,28 @@ class Simulator {
     sent.port = static_cast<std::int16_t>(
         p->dst == out.dst ? -1 : port_to(out.dst, p->route[sent.hop + 1]));
     pop(u, k, vc, cycle);
-    --out.credits[vc];
-    out.owner[vc] = sent.tail ? nullptr : p;
+    --credits_[ov];
+    owner_[ov] = sent.tail ? nullptr : p;
     out.wire_push({cycle + out.latency, sent, vc});
     std::size_t bucket = static_cast<std::size_t>(wheel_now_ + out.latency);
     if (bucket >= wheel_.size()) bucket -= wheel_.size();
     wheel_[bucket].push_back(eid);
-    const std::size_t slots = (in_edges_[u].size() + 1) * cfg_.num_vcs;
+    const std::size_t slots = (in_degree(u) + 1) * cfg_.num_vcs;
     out_rr_[eid] = slot + 1 == slots ? 0 : static_cast<int>(slot + 1);
     return true;  // one flit per output per cycle
   }
 
-  void output_scan(int u, std::size_t j, long cycle) {
-    const int eid = out_edges_[u][j];
+  void output_scan(int u, int j, long cycle) {
+    const int eid = out_ch_[out_off_[u] + j];
     if (faults_ && link_down_[eid]) return;  // down links accept no flits
-    const std::size_t slots = (in_edges_[u].size() + 1) * cfg_.num_vcs;
+    const std::size_t slots = (in_degree(u) + 1) * cfg_.num_vcs;
     const std::size_t rr = static_cast<std::size_t>(out_rr_[eid]);
     for (std::size_t step = 0; step < slots; ++step)
       if (try_output(u, j, (rr + step) % slots, cycle)) return;
   }
 
-  void output_masked(int u, std::size_t j, std::uint64_t requests,
-                     long cycle) {
-    const int eid = out_edges_[u][j];
+  void output_masked(int u, int j, std::uint64_t requests, long cycle) {
+    const int eid = out_ch_[out_off_[u] + j];
     if (faults_ && link_down_[eid]) return;
     first_grant(requests, out_rr_[eid],
                 [&](int slot) { return try_output(u, j, slot, cycle); });
@@ -791,17 +860,15 @@ class Simulator {
   // Ejects the head flit of `slot` at router u if it is destined here.
   bool try_eject(int u, std::size_t slot, long cycle) {
     const int k = slot_input_[slot];
-    const int vc = static_cast<int>(slot) - k * cfg_.num_vcs;
     if (!input_port_free(u, k, cycle)) return false;
-    const auto& ins = in_edges_[u];
-    Channel& ch = channels_[ins[k]];
-    if (ch.empty(vc)) return false;
-    const Flit f = ch.front(vc);
+    const std::size_t s = slot_base(u) + slot;
+    if (buf_count_[s] == 0) return false;
+    const Flit f = front(s);
     if (f.pkt->dst != u) return false;
-    pop(u, k, vc, cycle);
+    pop(u, k, static_cast<int>(slot) - k * cfg_.num_vcs, cycle);
     ++flits_ejected_;
     if (f.tail) complete_packet(f.pkt, cycle);
-    const std::size_t slots = ins.size() * cfg_.num_vcs;
+    const std::size_t slots = in_degree(u) * cfg_.num_vcs;
     eject_rr_[u] = slot + 1 == slots ? 0 : static_cast<int>(slot + 1);
     return true;
   }
@@ -810,7 +877,7 @@ class Simulator {
   // the round-robin pointer on.
   void eject_scan(int u, long cycle) {
     if (faults_ && router_down_[static_cast<std::size_t>(u)]) return;
-    const std::size_t slots = in_edges_[u].size() * cfg_.num_vcs;
+    const std::size_t slots = in_degree(u) * cfg_.num_vcs;
     for (int granted = 0; granted < cfg_.io_flits_per_cycle; ++granted) {
       bool any = false;
       const std::size_t rr = static_cast<std::size_t>(eject_rr_[u]);
@@ -820,10 +887,10 @@ class Simulator {
     }
   }
 
-  void eject_masked(int u, std::uint64_t requests, long cycle) {
+  void eject_masked(int u, long cycle) {
     if (faults_ && router_down_[static_cast<std::size_t>(u)]) return;
     for (int granted = 0; granted < cfg_.io_flits_per_cycle; ++granted)
-      if (!first_grant(requests, eject_rr_[u],
+      if (!first_grant(eject_req_[u] & ~visit_busy_, eject_rr_[u],
                        [&](int slot) { return try_eject(u, slot, cycle); }))
         return;
   }
@@ -868,18 +935,24 @@ class Simulator {
   void record_residuals() {
     stats_.flits_injected = flits_injected_;
     stats_.flits_ejected = flits_ejected_;
+    const int vcs = cfg_.num_vcs;
     std::vector<int> wire_vc;
-    for (const auto& ch : channels_) {
+    for (std::size_t id = 0; id < channels_.size(); ++id) {
+      const Channel& ch = channels_[id];
       // A credit is claimed when the flit enters the wire, so it mirrors the
       // downstream slots that are occupied *or reserved by an in-flight flit*.
-      wire_vc.assign(ch.vcs, 0);
+      wire_vc.assign(vcs, 0);
       for (int j = 0; j < ch.wire_count; ++j)
         ++wire_vc[ch.wire[(ch.wire_head + j) % ch.wire.size()].vc];
-      for (int vc = 0; vc < ch.vcs; ++vc) {
-        stats_.flits_buffered_end += ch.count[vc];
-        if (ch.credits[vc] != cfg_.buf_flits - ch.count[vc] - wire_vc[vc])
+      const std::size_t slot0 =
+          slot_base(ch.dst) + static_cast<std::size_t>(ch.k_at_dst) * vcs;
+      for (int vc = 0; vc < vcs; ++vc) {
+        const int count = buf_count_[slot0 + vc];
+        const std::size_t ov = id * vcs + vc;
+        stats_.flits_buffered_end += count;
+        if (credits_[ov] != cfg_.buf_flits - count - wire_vc[vc])
           stats_.credits_consistent = false;
-        if (ch.owner[vc] != nullptr) stats_.owners_clear = false;
+        if (owner_[ov] != nullptr) stats_.owners_clear = false;
       }
       stats_.flits_inflight_end += ch.wire_count;
     }
@@ -899,10 +972,21 @@ class Simulator {
   // cycle c (W = longest channel latency + 1); see deliver_arrivals.
   std::vector<std::vector<int>> wheel_;
   int wheel_now_ = 0;  // this cycle's bucket
-  std::vector<std::vector<int>> out_edges_, in_edges_;
+  // CSR adjacency. Router u's inputs k are the channels
+  // in_ch_[in_off_[u] + k]; its output port j is channel out_ch_[out_off_[u]
+  // + j], leading to router out_dst_[out_off_[u] + j].
+  std::vector<int> in_off_, in_ch_, out_off_, out_ch_, out_dst_;
+  // Input buffers: the ring of global input slot s (see slot_base) is
+  // buf_[s * buf_flits ...], with its head and occupancy.
+  std::vector<Flit> buf_;
+  std::vector<std::uint16_t> buf_head_, buf_count_;
+  // Per (channel id * V + vc): credits at the upstream router, and the
+  // packet that holds the VC (wormhole allocation).
+  std::vector<int> credits_;
+  std::vector<Packet*> owner_;
   std::vector<int> slot_input_;  // (input k, vc) slot -> k, without a divide
-  std::vector<int> out_rr_, eject_rr_;
-  std::vector<long> last_input_pop_;
+  std::vector<int> out_rr_, eject_rr_;  // per channel id / per router
+  std::vector<long> last_input_pop_;    // per input position in_off_[u] + k
   std::vector<SourceQueue> sources_;
   std::vector<int> active_sources_;
   std::vector<std::vector<std::pair<double, int>>> cum_;
@@ -919,13 +1003,12 @@ class Simulator {
       static_cast<int>(sizeof(kOccBounds) / sizeof(kOccBounds[0])) + 1;
   bool metrics_on_ = false;
   long occ_counts_[kOccBuckets] = {};
-  // Per-router (input k, vc) slot occupancy for mask-driven arbitration;
-  // usable while the slot space fits one word (mask_ok_).
-  std::vector<std::uint64_t> buf_mask_;
-  std::vector<bool> mask_ok_;
-  // Per-output request masks of the router being switched (scratch, sized
-  // to the largest out-degree).
-  std::vector<std::uint64_t> port_req_;
+  // Request masks over router-local (input k, vc) slots for mask-driven
+  // arbitration: per output position out_off_[u] + j, and per router for
+  // ejection. Kept only where the slot space fits one word (mask_ok_).
+  std::vector<std::uint64_t> out_req_, eject_req_;
+  std::vector<std::uint8_t> mask_ok_;
+  std::uint64_t visit_busy_ = 0;  // slots of inputs popped this visit
 
   // Injection schedule: next injection cycle per source index, mirrored in a
   // (cycle, idx) min-heap in optimized mode.

@@ -2,16 +2,20 @@
 // Per-channel simulator state: input-queued virtual-channel wormhole
 // switching with credit-based flow control.
 //
-// Each directed link owns (a) a per-VC input FIFO at its head router,
-// (b) a per-VC credit counter at its tail router mirroring free downstream
-// buffer slots, (c) a fixed-latency in-flight pipeline, and (d) a per-VC
-// wormhole owner: once a head flit is switched onto (link, vc), that packet
-// holds the VC until its tail passes (no flit interleaving within a VC).
+// A Channel is one directed link's wire: a fixed-latency in-flight pipeline
+// plus the link's endpoints and its position k among dst's in-edges. It owns
+// no switch state. The simulator (sim/network.cpp) keeps that in flat arrays:
+// (a) the per-VC input FIFOs at dst, one ring per input slot, where router
+// u's slot k*V + vc is global slot in_base(u) + k*V + vc; (b) the per-VC
+// credit counters at src, mirroring free downstream buffer slots; and (c) the
+// per-VC wormhole owners (once a head flit is switched onto (link, vc), that
+// packet holds the VC until its tail passes, so flits never interleave
+// within a VC). Credits and owners are indexed by channel id * V + vc.
 //
-// All FIFOs are fixed-capacity flat ring buffers: credits bound the per-VC
-// input occupancy at buf_flits, and the wire carries at most one flit per
-// cycle for `latency` cycles, so both capacities are known at init time and
-// the simulator performs no steady-state allocation.
+// All FIFOs are fixed-capacity flat rings: credits bound the per-VC input
+// occupancy at buf_flits, and the wire carries at most one flit per cycle
+// for `latency` cycles, so both capacities are known at init time and the
+// simulator performs no steady-state allocation.
 
 #include <cassert>
 #include <cstdint>
@@ -28,51 +32,20 @@ struct InFlight {
   int vc = 0;
 };
 
-// State of one directed link.
+// One directed link.
 struct Channel {
   int src = 0, dst = 0;
-  int latency = 3;  // router pipeline + wire (+ CDC) cycles
-  int vcs = 0, cap = 0;
+  int latency = 3;   // router pipeline + wire (+ CDC) cycles
   int k_at_dst = 0;  // position of this channel among dst's in-edges
-
-  std::vector<Flit> buf;             // flat per-VC rings: slot vc*cap + i
-  std::vector<std::uint16_t> head;   // per-VC ring head
-  std::vector<std::uint16_t> count;  // per-VC occupancy
-  std::vector<int> credits;          // per VC, at the upstream router
-  std::vector<Packet*> owner;        // per VC wormhole allocation
 
   std::vector<InFlight> wire;  // flight ring (FIFO: fixed latency)
   int wire_head = 0, wire_count = 0;
 
   // Requires `latency` to be set first (sizes the wire ring).
-  void init(int num_vcs, int buf_flits) {
+  void init_wire() {
     assert(latency >= 1);
-    vcs = num_vcs;
-    cap = buf_flits;
-    buf.assign(static_cast<std::size_t>(vcs) * cap, {});
-    head.assign(vcs, 0);
-    count.assign(vcs, 0);
-    credits.assign(vcs, buf_flits);
-    owner.assign(vcs, nullptr);
     wire.assign(static_cast<std::size_t>(latency) + 1, {});
     wire_head = wire_count = 0;
-  }
-
-  bool empty(int vc) const { return count[vc] == 0; }
-  Flit& front(int vc) {
-    return buf[static_cast<std::size_t>(vc) * cap + head[vc]];
-  }
-  void push(int vc, const Flit& f) {
-    assert(count[vc] < cap);  // credits guarantee a free slot
-    int i = head[vc] + count[vc];
-    if (i >= cap) i -= cap;
-    buf[static_cast<std::size_t>(vc) * cap + i] = f;
-    ++count[vc];
-  }
-  void pop(int vc) {
-    assert(count[vc] > 0);
-    head[vc] = static_cast<std::uint16_t>(head[vc] + 1 == cap ? 0 : head[vc] + 1);
-    --count[vc];
   }
 
   bool wire_empty() const { return wire_count == 0; }

@@ -1,7 +1,13 @@
 #include "sim/sweep.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <exception>
+#include <limits>
+#include <mutex>
 
 #include "obs/trace.hpp"
 
@@ -15,6 +21,60 @@ namespace {
 
 // Latency blowing past this multiple of zero-load marks saturation.
 constexpr double kSaturationLatencyFactor = 6.0;
+
+// Truncation of an adaptive sweep's jobs. Jobs fall into waves of `wave`
+// consecutive indices, and a job is truncated iff a rate point of an earlier
+// wave saturated. A job's answer is known once every earlier-wave job has
+// finished, or as soon as any finished earlier-wave point has saturated: the
+// OR only ever turns true, so the early answer is the final one. Jobs are
+// taken in index order and wait only on lower-index jobs, which running
+// threads already hold, so the gates cannot deadlock.
+class TruncationGates {
+ public:
+  TruncationGates(std::size_t jobs, std::size_t wave)
+      : wave_(wave), left_((jobs + wave - 1) / wave, wave) {
+    left_.back() = jobs - (left_.size() - 1) * wave;
+  }
+
+  // Blocks until the truncation of `job` is decided and returns it.
+  bool truncated(std::size_t job) {
+    const std::size_t w = job / wave_;
+    std::unique_lock<std::mutex> lock(mu_);
+    const auto decided = [&] { return sat_wave_ < w || done_waves_ >= w; };
+    if (!decided()) {
+      const auto start = std::chrono::steady_clock::now();
+      ready_.wait(lock, decided);
+      wait_ms_ += std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+    }
+    return sat_wave_ < w;
+  }
+
+  void finish(std::size_t job, bool saturated) {
+    const std::size_t w = job / wave_;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      if (saturated) sat_wave_ = std::min(sat_wave_, w);
+      --left_[w];
+      while (done_waves_ < left_.size() && left_[done_waves_] == 0)
+        ++done_waves_;
+    }
+    ready_.notify_all();
+  }
+
+  // Summed thread time spent blocked in truncated().
+  double wait_ms() const { return wait_ms_; }
+
+ private:
+  std::size_t wave_;
+  std::vector<std::size_t> left_;  // unfinished jobs per wave
+  std::size_t done_waves_ = 0;     // leading waves with every job finished
+  std::size_t sat_wave_ = std::numeric_limits<std::size_t>::max();
+  double wait_ms_ = 0.0;
+  std::mutex mu_;
+  std::condition_variable ready_;
+};
 
 }  // namespace
 
@@ -43,10 +103,9 @@ SweepResult injection_sweep(const core::NetworkPlan& plan,
   span.arg("max_rate", rates.back());
 
   // Job 0 is the zero-load reference run; job i >= 1 is rate point i - 1.
-  // Jobs run in ascending-rate waves sized to the thread team: each wave is
-  // one parallel region, and truncation for a wave depends only on completed
-  // waves, so the sweep stays deterministic per thread count while the
-  // zero-load run and the low-rate points still overlap.
+  // Truncation is defined by ascending-rate waves of omp_get_max_threads()
+  // jobs (see TruncationGates); execution is not: one team takes jobs in
+  // index order and each job waits only until its own truncation is known.
   SimStats zero_stats;
 #if defined(_OPENMP)
   const std::size_t wave = static_cast<std::size_t>(
@@ -56,41 +115,50 @@ SweepResult injection_sweep(const core::NetworkPlan& plan,
 #endif
   result.omp_threads = static_cast<int>(wave);
   const std::size_t total = rates.size() + 1;
-  bool saturated_seen = false;
-  for (std::size_t begin = 0; begin < total; begin += wave) {
-    const std::size_t end = std::min(total, begin + wave);
-    const bool truncate = opt.adaptive && saturated_seen;
-#pragma omp parallel for schedule(dynamic)
-    for (std::size_t job = begin; job < end; ++job) {
+  TruncationGates gates(total, wave);
+  std::atomic<std::size_t> next_job{0};
+  std::mutex error_mu;
+  std::exception_ptr error;
+#pragma omp parallel
+  for (std::size_t job; (job = next_job.fetch_add(1)) < total;) {
+    bool saturated = false;
+    try {
       if (job == 0) {
         TrafficConfig t0 = traffic;
         t0.injection_rate = std::max(1e-4, rates.front() * 0.05);
         zero_stats = simulate(plan, t0, cfg);
-        continue;
+      } else {
+        const std::size_t i = job - 1;
+        TrafficConfig t = traffic;
+        t.injection_rate = rates[i];
+        SimConfig c = cfg;
+        c.seed = cfg.seed + 1000 + i;  // independent streams per point
+        if (opt.adaptive && gates.truncated(job)) {
+          // Floors keep short-window estimates usable, but never let the
+          // "truncated" window exceed what the caller configured.
+          c.measure = std::min(cfg.measure, std::max(opt.min_measure,
+                                                     cfg.measure / opt.truncate_factor));
+          c.drain = std::min(cfg.drain, std::max(opt.min_drain,
+                                                 cfg.drain / opt.truncate_factor));
+        }
+        SweepPoint pt;
+        pt.offered_pkt_node_cycle = rates[i];
+        pt.stats = simulate(plan, t, c);
+        pt.latency_ns = pt.stats.avg_latency_cycles / clock_ghz;
+        pt.accepted_pkt_node_ns = pt.stats.accepted * clock_ghz;
+        saturated = pt.stats.saturated;
+        result.points[i] = pt;
       }
-      const std::size_t i = job - 1;
-      TrafficConfig t = traffic;
-      t.injection_rate = rates[i];
-      SimConfig c = cfg;
-      c.seed = cfg.seed + 1000 + i;  // independent streams per point
-      if (truncate) {
-        // Floors keep short-window estimates usable, but never let the
-        // "truncated" window exceed what the caller configured.
-        c.measure = std::min(cfg.measure, std::max(opt.min_measure,
-                                                   cfg.measure / opt.truncate_factor));
-        c.drain = std::min(cfg.drain, std::max(opt.min_drain,
-                                               cfg.drain / opt.truncate_factor));
-      }
-      SweepPoint pt;
-      pt.offered_pkt_node_cycle = rates[i];
-      pt.stats = simulate(plan, t, c);
-      pt.latency_ns = pt.stats.avg_latency_cycles / clock_ghz;
-      pt.accepted_pkt_node_ns = pt.stats.accepted * clock_ghz;
-      result.points[i] = pt;
+    } catch (...) {
+      // Finish the job anyway (as unsaturated), so no gate waits forever;
+      // the first error is rethrown once the team is done.
+      const std::lock_guard<std::mutex> lock(error_mu);
+      if (!error) error = std::current_exception();
     }
-    for (std::size_t job = std::max<std::size_t>(begin, 1); job < end; ++job)
-      if (result.points[job - 1].stats.saturated) saturated_seen = true;
+    if (opt.adaptive) gates.finish(job, saturated);
   }
+  if (error) std::rethrow_exception(error);
+  span.arg("gate_wait_ms", gates.wait_ms());
   result.zero_load_latency_cycles = zero_stats.avg_latency_cycles;
   result.zero_load_latency_ns = zero_stats.avg_latency_cycles / clock_ghz;
 

@@ -5,13 +5,16 @@
 // throughput in packets/node/ns at the class clock (paper SIV: small/medium/
 // large NoIs run at 3.6/3.0/2.7 GHz).
 //
-// Sweeps are adaptive by default: points run in ascending-rate waves (one
-// wave per OpenMP thread team), and once a completed wave contains a
-// saturated point, every later point runs with a truncated measure/drain
-// window. Saturated points are the expensive ones — they never take the
+// Sweeps are adaptive by default. Jobs (the zero-load run, then the points
+// in ascending rate) form waves of omp_get_max_threads() jobs, and a point
+// runs with a truncated measure/drain window iff a point of an earlier wave
+// saturated. Saturated points are the expensive ones — they never take the
 // early drain exit — and past the knee only the saturated flag and a rough
-// accepted throughput matter. Truncation decisions depend only on completed
-// waves, so results are deterministic for a fixed thread count.
+// accepted throughput matter. The waves only define truncation: one thread
+// team takes jobs in index order, and a job waits only until its own
+// truncation is decided (every earlier-wave job finished, or one of them
+// saturated), so results are deterministic for a fixed thread count.
+// Fixed-window sweeps (adaptive = false) never wait.
 
 #include <vector>
 
@@ -33,9 +36,9 @@ struct SweepResult {
   // Highest accepted throughput with latency below the saturation threshold.
   double saturation_pkt_node_cycle = 0.0;
   double saturation_pkt_node_ns = 0.0;
-  // OpenMP thread count the sweep ran with. Adaptive truncation decisions
-  // depend on the wave size (= thread count), so results are only
-  // reproducible for the same value; reports surface it as provenance.
+  // omp_get_max_threads() when the sweep ran: the wave size that defines
+  // adaptive truncation. Results are only reproducible for the same value,
+  // whatever the team actually ran; reports surface it as provenance.
   int omp_threads = 1;
 };
 

@@ -9,8 +9,9 @@
 //
 // The cases cover both sides of the saturation knee, request/reply traffic,
 // a custom pattern, wheel sizes past 4 (mixed extra edge delay), a
-// 1 flit/cycle NI, lossless and lossy link flaps, and a hub router whose
-// (input, VC) slot space does not fit one 64-bit word.
+// 1 flit/cycle NI, lossless and lossy link flaps, a hub router whose
+// (input, VC) slot space does not fit one 64-bit word, and a second
+// VC-count x buffer-depth geometry (8 VCs of 4 flits).
 
 #include <gtest/gtest.h>
 
@@ -172,6 +173,21 @@ TEST(SimFingerprint, NarrowIo) {
   cfg.io_flits_per_cycle = 1;
   expect_fingerprint(mclb_plan(topo::build_folded_torus(lay), lay),
                      coherence(0.08), cfg, 0xbf66798aa6d619e3ull);
+}
+
+TEST(SimFingerprint, EightShallowVcs) {
+  // 8 VCs of 4 flits: a 9-flit data packet spans three buffers, and input
+  // slots index as k * 8 + vc with 4-flit rings. Recorded from the
+  // per-channel input buffers that preceded the flat switch state.
+  const auto lay = topo::Layout::noi_4x5();
+  const auto g = topo::build_folded_torus(lay);
+  auto cfg = quick_cfg(37);
+  cfg.num_vcs = 8;
+  cfg.buf_flits = 4;
+  const auto s = expect_fingerprint(
+      core::plan_network(g, lay, core::RoutingPolicy::kMclb, /*num_vcs=*/8),
+      coherence(0.1), cfg, 0x4f92a4382e733dc4ull);
+  EXPECT_GT(s.flits_ejected, 0);
 }
 
 TEST(SimFingerprint, LosslessFlapWithRepair) {
